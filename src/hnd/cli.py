@@ -19,7 +19,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -33,7 +32,7 @@ from .hypergraph import (
     parse_hypergraph,
 )
 from .modulation import AttentionParams, normalize_modulation, scores_forward, uniform_modulation
-from .operators import HypergraphOperators
+from .operators import as_operators
 from .rng import make_rng
 from .solvers import (
     AdaptiveSpec,
@@ -44,7 +43,7 @@ from .solvers import (
     trajectory_states_to_binary,
 )
 from .synth import generate_sbm
-from .train import TrainConfig, depth_sweep, noise_sweep, train_and_evaluate
+from .train import TrainConfig, depth_sweep, noise_sweep, run_points, train_and_evaluate
 
 
 def _write_file(path: str, data) -> None:
@@ -68,14 +67,6 @@ def _max_workers() -> int:
         return max(1, int(raw))
     except ValueError:
         return 1
-
-
-def _map_points(fn, items):
-    workers = _max_workers()
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _load_config_file(path: str, allowed: set) -> dict:
@@ -130,7 +121,7 @@ def _cmd_validate(args) -> int:
     with open(args.path) as fh:
         text = fh.read()
     hg = parse_hypergraph(text)
-    ops = HypergraphOperators(hg)
+    ops = as_operators(hg)
     d = ops.deg.d_v
     print(f"ok: n={hg.n} m={hg.m} N={ops.N}")
     print(f"degree: min={d.min():.6g} max={d.max():.6g} mean={d.mean():.6g}")
@@ -144,13 +135,16 @@ _SBM_SCHEMA = {
 }
 
 
-def _cmd_sbm(args) -> int:
-    cfg = _resolve(args, _SBM_SCHEMA)
-    ds = generate_sbm(
+def _generate_sbm(cfg: dict) -> Dataset:
+    return generate_sbm(
         int(cfg["nodes_per_class"]), int(cfg["edges"]), int(cfg["edge_size"]),
         int(cfg["alpha"]), int(cfg["feature_dim"]), float(cfg["sigma"]),
         int(cfg["seed"]),
     )
+
+
+def _cmd_sbm(args) -> int:
+    ds = _generate_sbm(_resolve(args, _SBM_SCHEMA))
     out = _out_dir(args)
     path = os.path.join(out, "dataset.json")
     _write_file(path, dataset_to_json(ds))
@@ -166,12 +160,25 @@ _DIFFUSE_SCHEMA = {
 }
 
 
+def _modulation_fn(cfg: dict, ops, dim: int):
+    """The configured modulation as a callable ``x -> weights``."""
+    if cfg["modulation"] == "uniform":
+        return lambda x: uniform_modulation(ops).values
+    if cfg["modulation"] == "softmax":
+        params = AttentionParams.init(dim, int(cfg["seed"]))
+        def a_fn(x):
+            s, _ = scores_forward(params, x, ops)
+            return normalize_modulation(s, ops).values
+        return a_fn
+    raise ValueError(f"unknown modulation {cfg['modulation']!r}")
+
+
 def _cmd_diffuse(args) -> int:
     cfg = _resolve(args, _DIFFUSE_SCHEMA)
     if not cfg["dataset"]:
         raise ValueError("diffuse requires a dataset path")
     ds = _load_dataset(cfg["dataset"], cfg)
-    ops = HypergraphOperators(ds.hypergraph)
+    ops = as_operators(ds.hypergraph)
     tau = float(cfg["tau"])
     steps = int(cfg["steps"]) if cfg["horizon"] is None else int(round(float(cfg["horizon"]) / tau))
     policy = "frozen" if cfg["variant"] == "l" else "recompute_each_step"
@@ -183,17 +190,7 @@ def _cmd_diffuse(args) -> int:
                               tau_max=max(tau, 10.0)),
     )
     x0 = ds.features
-
-    if cfg["modulation"] == "uniform":
-        a_fn = lambda x: uniform_modulation(ops).values
-    elif cfg["modulation"] == "softmax":
-        params = AttentionParams.init(x0.shape[1], int(cfg["seed"]))
-        def a_fn(x):
-            s, _ = scores_forward(params, x, ops)
-            return normalize_modulation(s, ops).values
-    else:
-        raise ValueError(f"unknown modulation {cfg['modulation']!r}")
-
+    a_fn = _modulation_fn(cfg, ops, x0.shape[1])
     traj = integrate(ops, a_fn, x0, spec)
     frozen_a = a_fn(x0) if policy == "frozen" else a_fn
     report = energy_monotonicity(ops, traj, frozen_a)
@@ -250,11 +247,7 @@ def _train_dataset(cfg: dict) -> Dataset:
     if cfg["dataset"]:
         with open(cfg["dataset"]) as fh:
             return parse_dataset(fh.read())
-    return generate_sbm(
-        int(cfg["nodes_per_class"]), int(cfg["edges"]), int(cfg["edge_size"]),
-        int(cfg["alpha"]), int(cfg["feature_dim"]), float(cfg["sigma"]),
-        int(cfg["seed"]),
-    )
+    return _generate_sbm(cfg)
 
 
 def _report_json(report) -> dict:
@@ -269,39 +262,30 @@ def _cmd_train(args) -> int:
     t0 = time.perf_counter()
 
     if cfg["layers"] is not None:
-        layer_counts = _parse_int_list(cfg["layers"])
+        layer_counts = _parse_list(cfg["layers"], int)
         results = depth_sweep(ds, config, layer_counts, max_workers=_max_workers())
         body = {
-            "library_version": __version__,
             "command": "depth_sweep",
-            "config": {k: cfg[k] for k in sorted(cfg)},
             "points": [
                 {"layers": r["layers"], "report": _report_json(r["report"])}
                 for r in results
             ],
         }
     elif cfg["noise"] is not None:
-        rates = _parse_float_list(cfg["rates"] or "0.1,0.2,0.3,0.4")
+        rates = _parse_list(cfg["rates"] or "0.1,0.2,0.3,0.4")
         results = noise_sweep(ds, config, cfg["noise"], rates,
                               max_workers=_max_workers())
         body = {
-            "library_version": __version__,
             "command": "noise_sweep",
             "noise": cfg["noise"],
-            "config": {k: cfg[k] for k in sorted(cfg)},
             "points": [
                 {"rate": r["rate"], "report": _report_json(r["report"])}
                 for r in results
             ],
         }
     else:
-        report = train_and_evaluate(ds, config)
-        body = {
-            "library_version": __version__,
-            "command": "train",
-            "config": {k: cfg[k] for k in sorted(cfg)},
-            "report": _report_json(report),
-        }
+        body = {"command": "train", "report": _report_json(train_and_evaluate(ds, config))}
+    body.update(library_version=__version__, config={k: cfg[k] for k in sorted(cfg)})
 
     _write_file(os.path.join(out, "metrics.json"), json.dumps(body, sort_keys=True))
     _write_file(os.path.join(out, "timing.json"),
@@ -332,7 +316,7 @@ def _bench_case(seed: int, dim: int):
         (0, 4, 9), (1, 5, 7), (2, 6, 9), (0, 3, 8),
     )
     hg = Hypergraph(n=10, edges=edges, weights=tuple(1.0 + 0.1 * i for i in range(len(edges))))
-    ops = HypergraphOperators(hg)
+    ops = as_operators(hg)
     x0 = make_rng(seed).standard_normal((hg.n, dim))
     a = uniform_modulation(ops).values
     return ops, a, x0
@@ -350,8 +334,8 @@ def _expm_reference(ops, a, x0, horizon):
 
 def _cmd_bench_solver(args) -> int:
     cfg = _resolve(args, _BENCH_SCHEMA)
-    taus = _parse_float_list(cfg["taus"])
-    tols = _parse_float_list(cfg["tols"])
+    taus = _parse_list(cfg["taus"])
+    tols = _parse_list(cfg["tols"])
     horizon = float(cfg["horizon"])
     ops, a, x0 = _bench_case(int(cfg["seed"]), int(cfg["dim"]))
     ref = _expm_reference(ops, a, x0, horizon)
@@ -373,7 +357,7 @@ def _cmd_bench_solver(args) -> int:
         return {"scheme": scheme, "taus": list(taus), "errors": errors,
                 "slope": slope, "rhs_evals": evals}
 
-    rows = _map_points(run_row, list(schemes))
+    rows = run_points(run_row, list(schemes), _max_workers())
 
     def run_adaptive(tol):
         spec = AdaptiveSpec(tol=tol, tau_init=min(taus), tau_max=horizon)
@@ -386,7 +370,7 @@ def _cmd_bench_solver(args) -> int:
             "rhs_evals": traj.rhs_evals,
         }
 
-    adaptive_rows = _map_points(run_adaptive, list(tols))
+    adaptive_rows = run_points(run_adaptive, list(tols), _max_workers())
 
     body = {
         "library_version": __version__,
@@ -414,13 +398,8 @@ def _cmd_spectrum(args) -> int:
     if not cfg["dataset"]:
         raise ValueError("spectrum requires a dataset path")
     ds = _load_dataset(cfg["dataset"], cfg)
-    ops = HypergraphOperators(ds.hypergraph)
-    if cfg["modulation"] == "uniform":
-        a = uniform_modulation(ops).values
-    else:
-        params = AttentionParams.init(ds.features.shape[1], int(cfg["seed"]))
-        s, _ = scores_forward(params, ds.features, ops)
-        a = normalize_modulation(s, ops).values
+    ops = as_operators(ds.hypergraph)
+    a = _modulation_fn(cfg, ops, ds.features.shape[1])(ds.features)
     lam, converged = spectral_radius(ops, a, iters=int(cfg["iters"]), tol=float(cfg["tol"]))
     body = {
         "library_version": __version__,
@@ -442,16 +421,10 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _parse_float_list(text) -> list:
+def _parse_list(text, cast=float) -> list:
     if isinstance(text, (list, tuple)):
-        return [float(x) for x in text]
-    return [float(tok) for tok in str(text).split(",") if tok.strip()]
-
-
-def _parse_int_list(text) -> list:
-    if isinstance(text, (list, tuple)):
-        return [int(x) for x in text]
-    return [int(tok) for tok in str(text).split(",") if tok.strip()]
+        return [cast(x) for x in text]
+    return [cast(tok) for tok in str(text).split(",") if tok.strip()]
 
 
 # ---------------------------------------------------------------- parser

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -123,6 +124,8 @@ class Dataset:
             raise ShapeMismatch(
                 f"features must be ({n}, d), got {self.features.shape}"
             )
+        if not np.isfinite(self.features).all():
+            raise MalformedDocument("features contain NaN or infinite values")
         if self.labels.shape != (n,):
             raise ShapeMismatch(f"labels must have length {n}")
         if self.labels.min(initial=0) < 0 or self.labels.max(initial=0) >= self.class_count:
@@ -139,10 +142,10 @@ def pair_index(hg: Hypergraph) -> PairIndex:
 
 def degrees(hg: Hypergraph) -> Degrees:
     """Weighted node degrees and edge sizes."""
-    d = np.zeros(hg.n, dtype=np.float64)
-    for members, w in zip(hg.edges, hg.weights):
-        d[list(members)] += w
     sizes = np.array([len(e) for e in hg.edges], dtype=np.int64)
+    members = np.fromiter(chain.from_iterable(hg.edges), dtype=np.int64, count=int(sizes.sum()))
+    # bincount adds each node's weights in edge order, as a loop over edges would
+    d = np.bincount(members, weights=np.repeat(hg.weights, sizes), minlength=hg.n)
     return Degrees(d_v=d, edge_size=sizes)
 
 

@@ -15,7 +15,7 @@ Euler scheme is trainable; the remaining schemes are inference-only.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -101,11 +101,17 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
 def load_checkpoint(path: str) -> ModelParams:
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:8] != CHECKPOINT_MAGIC:
-        raise MalformedDocument("not a model checkpoint")
+    if data[:8] != CHECKPOINT_MAGIC or len(data) < 32:
+        raise MalformedDocument("not a model checkpoint, or its header is truncated")
     version, d_in, hidden, n_classes = struct.unpack_from("<IIII", data, 8)
     if version != 1:
         raise MalformedDocument(f"unsupported checkpoint version {version}")
+    # w_in, projection + hidden_w, hidden_b + out_w, out_b, w_out
+    count = d_in * hidden + 3 * hidden * hidden + 2 * hidden + 1 + hidden * n_classes
+    if len(data) != 32 + 8 * count:
+        raise MalformedDocument(
+            f"checkpoint holds {len(data)} bytes, its header promises {32 + 8 * count}"
+        )
     (slope,) = struct.unpack_from("<d", data, 24)
     template = ModelParams(
         w_in=np.zeros((d_in, hidden)),
@@ -119,7 +125,6 @@ def load_checkpoint(path: str) -> ModelParams:
         ),
         w_out=np.zeros((hidden, n_classes)),
     )
-    count = template.to_vector().size
     vec = np.frombuffer(data, dtype="<f8", count=count, offset=32)
     return template.from_vector(np.array(vec))
 
@@ -161,12 +166,7 @@ def forward(params: ModelParams, dataset: Dataset, spec: SolverSpec, variant: st
         return x0 @ params.w_out
     a_fn = _attention_weights_fn(params, ops, agg)
     policy = "frozen" if variant == "l" else "recompute_each_step"
-    run_spec = SolverSpec(
-        scheme=spec.scheme, tau=spec.tau, steps=spec.steps,
-        modulation_policy=policy, fp_tol=spec.fp_tol,
-        fp_max_iter=spec.fp_max_iter, adaptive=spec.adaptive,
-    )
-    traj = integrate(ops, a_fn, x0, run_spec)
+    traj = integrate(ops, a_fn, x0, replace(spec, modulation_policy=policy))
     return traj.states[-1] @ params.w_out
 
 

@@ -108,7 +108,7 @@ def edge_features(X: np.ndarray, hg, agg: str = "mean") -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != ops.n:
         raise ShapeMismatch(f"features must be ({ops.n}, d), got {X.shape}")
-    gathered = X[ops.pair_node]
+    gathered = np.take(X, ops.pair_node, axis=0)
     if agg == "mean":
         return ops.edge_sum(gathered) / ops.deg.edge_size[:, None]
     if agg == "max":
@@ -123,7 +123,8 @@ def scores_forward(params: AttentionParams, X: np.ndarray, ops: HypergraphOperat
     E = edge_features(X, ops, agg)
     proj_n = X @ params.projection.T
     proj_e = E @ params.projection.T
-    Z = np.concatenate([proj_n[ops.pair_node], proj_e[ops.pair_edge]], axis=1)
+    Z = np.concatenate([np.take(proj_n, ops.pair_node, axis=0),
+                        np.take(proj_e, ops.pair_edge, axis=0)], axis=1)
     pre_h = Z @ params.hidden_w.T + params.hidden_b
     H = _leaky(pre_h, params.leaky_slope)
     pre_o = H @ params.out_w + params.out_b[0]
@@ -172,18 +173,18 @@ def scores_backward(params: AttentionParams, ops: HypergraphOperators, cache, ds
 
 def _edge_features_backward(X, E, ops, agg, dE) -> np.ndarray:
     if agg == "mean":
-        per_pair = (dE / ops.deg.edge_size[:, None])[ops.pair_edge]
+        per_pair = np.take(dE / ops.deg.edge_size[:, None], ops.pair_edge, axis=0)
         return ops.node_sum(per_pair)
     # max: route gradient to the first member attaining the maximum
-    gathered = X[ops.pair_node]
-    ismax = gathered == E[ops.pair_edge]
+    gathered = np.take(X, ops.pair_node, axis=0)
+    ismax = gathered == np.take(E, ops.pair_edge, axis=0)
     cum = np.cumsum(ismax, axis=0)
     offset = np.zeros_like(cum)
     starts = ops.edge_ptr[:-1]
     offset[starts[1:]] = cum[starts[1:] - 1]
     offset = np.maximum.accumulate(offset, axis=0)
     first = ismax & ((cum - offset) == 1)
-    return ops.node_sum(dE[ops.pair_edge] * first)
+    return ops.node_sum(np.take(dE, ops.pair_edge, axis=0) * first)
 
 
 def similarity_scores(params: AttentionParams, X: np.ndarray, hg, agg: str = "mean") -> np.ndarray:
@@ -199,7 +200,8 @@ def normalize_modulation(s: np.ndarray, hg) -> ModulationWeights:
     s = np.asarray(s, dtype=np.float64)
     if s.shape != (ops.N,):
         raise ShapeMismatch(f"scores must have shape ({ops.N},), got {s.shape}")
-    shift = np.maximum.reduceat(s[ops.node_order], ops.node_ptr[:-1])
+    shift = np.full(ops.n, -np.inf)
+    np.maximum.at(shift, ops.pair_node, s)
     # floor keeps exp() above underflow so weights stay strictly positive
     ex = np.exp(np.maximum(s - shift[ops.pair_node], -700.0))
     sums = ops.node_sum(ex)

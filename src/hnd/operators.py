@@ -16,8 +16,10 @@ diffusion right-hand side in the symmetric form -G^T A G x. The raw
 operators relate to it by  grad = S^{-1/2} G  and  div(g) = G^T S^{1/2} g.
 
 ``HypergraphOperators`` holds the precomputed index arrays and applies
-all operators matrix-free with deterministic reduction order (sorted
-segment sums); ``SparseOperator`` provides the explicit coordinate-
+all operators matrix-free: edge sums reduce contiguous edge blocks, node
+sums scatter-add pairs with ``np.bincount``, both in a fixed order, so
+applications are deterministic. ``as_operators`` caches one workspace
+per hypergraph. ``SparseOperator`` provides the explicit coordinate-
 format matrices used by test oracles.
 """
 
@@ -33,15 +35,24 @@ from .hypergraph import Degrees, Hypergraph, PairIndex, degrees, pair_index
 DENSE_LIMIT = 10**6
 
 
+def _per_row(v: np.ndarray, ndim: int) -> np.ndarray:
+    """Broadcast a per-row vector against a 1-D or (rows, d) signal."""
+    return v[:, None] if ndim == 2 else v
+
+
+def _flat_index(index: np.ndarray, width: int) -> np.ndarray:
+    """Row-major slots index * width + j of a (len(index), width) row scatter."""
+    return (index[:, None] * width + np.arange(width)).ravel()
+
+
 class HypergraphOperators:
     """Matrix-free hypergraph calculus over a fixed hypergraph.
 
-    Immutable after construction; all applications are pure and safe to
-    share across threads.
+    Applications are pure and safe to share across threads: the node-sum
+    index of each column count is published once, with ``dict.setdefault``.
     """
 
     def __init__(self, hg: Hypergraph):
-        self.hypergraph = hg
         self.pairs: PairIndex = pair_index(hg)
         self.deg: Degrees = degrees(hg)
         self.n = hg.n
@@ -52,17 +63,16 @@ class HypergraphOperators:
         self.pair_node = self.pairs.node_id
         sizes = self.deg.edge_size
         self.edge_ptr = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-        self.inv_size_pair = np.repeat(1.0 / sizes, sizes)
+        self.inv_size = 1.0 / sizes
         self.w_edge = np.asarray(hg.weights, dtype=np.float64)
         self.w_pair = np.repeat(self.w_edge, sizes)
         self.sqrt_w_pair = np.sqrt(self.w_pair)
         self.sqrt_d = np.sqrt(self.deg.d_v)
         self.inv_sqrt_d = 1.0 / self.sqrt_d
 
-        # node-major view of the pair list: within a node, edge order
-        self.node_order = np.argsort(self.pair_node, kind="stable")
         self.incidence_count = np.bincount(self.pair_node, minlength=self.n)
-        self.node_ptr = np.concatenate([[0], np.cumsum(self.incidence_count)]).astype(np.int64)
+        # intp, because bincount converts any other index dtype on every call
+        self._node_index = {1: self.pair_node}
 
     # ---- segment reductions (deterministic order) ----
 
@@ -72,44 +82,45 @@ class HypergraphOperators:
 
     def node_sum(self, pair_values: np.ndarray) -> np.ndarray:
         """Sum pair-aligned values over each node's incident pairs."""
-        return np.add.reduceat(pair_values[self.node_order], self.node_ptr[:-1], axis=0)
+        cols = pair_values.reshape(self.N, -1)
+        width = cols.shape[1]
+        index = self._node_index.get(width)
+        if index is None:
+            index = self._node_index.setdefault(width, _flat_index(self.pair_node, width))
+        sums = np.bincount(index, weights=cols.ravel(), minlength=self.n * width)
+        return sums.reshape((self.n,) + pair_values.shape[1:])
 
     # ---- raw operators ----
 
     def grad(self, f: np.ndarray) -> np.ndarray:
         """Deviation of each member from its edge's normalized mean."""
-        s = f * self.inv_sqrt_d[:, None] if f.ndim == 2 else f * self.inv_sqrt_d
-        gathered = s[self.pair_node]
+        gathered = np.take(f * _per_row(self.inv_sqrt_d, f.ndim), self.pair_node, axis=0)
         mean = self.edge_sum(gathered)
-        mean *= (1.0 / self.deg.edge_size)[:, None] if f.ndim == 2 else 1.0 / self.deg.edge_size
-        return gathered - mean[self.pair_edge]
+        mean *= _per_row(self.inv_size, f.ndim)
+        return gathered - np.take(mean, self.pair_edge, axis=0)
 
     def div(self, g: np.ndarray) -> np.ndarray:
         """Adjoint of grad: weighted net flux imbalance per node."""
-        z = g * (self.w_pair[:, None] if g.ndim == 2 else self.w_pair)
-        return self._collect(z, g.ndim)
+        return self._collect(g * _per_row(self.w_pair, g.ndim))
 
     # ---- scaled operators (G and its transpose) ----
 
     def grad_scaled(self, f: np.ndarray) -> np.ndarray:
         """Apply G = S^{1/2} (B - C) Dv^{-1/2}."""
         out = self.grad(f)
-        out *= self.sqrt_w_pair[:, None] if f.ndim == 2 else self.sqrt_w_pair
+        out *= _per_row(self.sqrt_w_pair, f.ndim)
         return out
 
     def grad_scaled_t(self, y: np.ndarray) -> np.ndarray:
         """Apply G^T."""
-        z = y * (self.sqrt_w_pair[:, None] if y.ndim == 2 else self.sqrt_w_pair)
-        return self._collect(z, y.ndim)
+        return self._collect(y * _per_row(self.sqrt_w_pair, y.ndim))
 
-    def _collect(self, z: np.ndarray, ndim: int) -> np.ndarray:
+    def _collect(self, z: np.ndarray) -> np.ndarray:
         """Dv^{-1/2} (B - C)^T z for pair-aligned z."""
-        edge_tot = self.edge_sum(z)
-        averaged = edge_tot[self.pair_edge] * (
-            self.inv_size_pair[:, None] if ndim == 2 else self.inv_size_pair
-        )
-        out = self.node_sum(z - averaged)
-        out *= self.inv_sqrt_d[:, None] if ndim == 2 else self.inv_sqrt_d
+        edge_mean = self.edge_sum(z)
+        edge_mean *= _per_row(self.inv_size, z.ndim)
+        out = self.node_sum(z - np.take(edge_mean, self.pair_edge, axis=0))
+        out *= _per_row(self.inv_sqrt_d, z.ndim)
         return out
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
@@ -119,45 +130,45 @@ class HypergraphOperators:
     def quad_apply(self, a: np.ndarray, f: np.ndarray) -> np.ndarray:
         """Apply G^T diag(a) G for a positive pair-aligned diagonal a."""
         y = self.grad_scaled(f)
-        y *= a[:, None] if f.ndim == 2 else a
+        y *= _per_row(a, f.ndim)
         return self.grad_scaled_t(y)
 
 
 def as_operators(hg) -> HypergraphOperators:
-    """Coerce a Hypergraph to its operator workspace."""
-    return hg if isinstance(hg, HypergraphOperators) else HypergraphOperators(hg)
+    """The workspace of a Hypergraph, built on its first use and cached on it.
+
+    Threads racing on the first call may each build one, but
+    ``dict.setdefault`` keeps exactly one, which all of them use.
+    """
+    if isinstance(hg, HypergraphOperators):
+        return hg
+    cache = hg.__dict__
+    return cache.get("_operators") or cache.setdefault("_operators", HypergraphOperators(hg))
 
 
-def _check_node_signal(ops: HypergraphOperators, f: np.ndarray) -> np.ndarray:
+def _check_signal(f: np.ndarray, rows: int, kind: str) -> np.ndarray:
     f = np.asarray(f, dtype=np.float64)
-    if f.shape[0] != ops.n or f.ndim > 2:
-        raise ShapeMismatch(f"node signal must be ({ops.n},) or ({ops.n}, d), got {f.shape}")
+    if f.shape[0] != rows or f.ndim > 2:
+        raise ShapeMismatch(f"{kind} signal must be ({rows},) or ({rows}, d), got {f.shape}")
     return f
-
-
-def _check_pair_signal(ops: HypergraphOperators, g: np.ndarray) -> np.ndarray:
-    g = np.asarray(g, dtype=np.float64)
-    if g.shape[0] != ops.N or g.ndim > 2:
-        raise ShapeMismatch(f"pair signal must be ({ops.N},) or ({ops.N}, d), got {g.shape}")
-    return g
 
 
 def gradient_apply(hg, f: np.ndarray) -> np.ndarray:
     """Hypergraph gradient of a node signal, in pair-index order."""
     ops = as_operators(hg)
-    return ops.grad(_check_node_signal(ops, f))
+    return ops.grad(_check_signal(f, ops.n, "node"))
 
 
 def divergence_apply(hg, g: np.ndarray) -> np.ndarray:
     """Hypergraph divergence of a pair signal."""
     ops = as_operators(hg)
-    return ops.div(_check_pair_signal(ops, g))
+    return ops.div(_check_signal(g, ops.N, "pair"))
 
 
 def laplacian_apply(hg, f: np.ndarray) -> np.ndarray:
     """div(grad(f)), equal to G^T G f."""
     ops = as_operators(hg)
-    return ops.laplacian(_check_node_signal(ops, f))
+    return ops.laplacian(_check_signal(f, ops.n, "node"))
 
 
 @dataclass(frozen=True)
@@ -204,15 +215,15 @@ class SparseOperator:
         return cls.from_triples(mat.shape, r, c, mat[r, c])
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Row-streaming product with a vector or matrix."""
+        """Product with a vector or matrix, scattering entries in storage order."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape[0] != self.shape[1]:
             raise ShapeMismatch(f"operand rows {x.shape[0]} != cols {self.shape[1]}")
-        out_shape = (self.shape[0],) + x.shape[1:]
-        out = np.zeros(out_shape)
-        contrib = self.val[:, None] * x[self.col] if x.ndim == 2 else self.val * x[self.col]
-        np.add.at(out, self.row, contrib)
-        return out
+        width = int(np.prod(x.shape[1:]))
+        contrib = self.val[:, None] * np.take(x.reshape(x.shape[0], width), self.col, axis=0)
+        out = np.bincount(_flat_index(self.row, width), weights=contrib.ravel(),
+                          minlength=self.shape[0] * width)
+        return out.reshape((self.shape[0],) + x.shape[1:])
 
     def transpose(self) -> "SparseOperator":
         return SparseOperator.from_triples(
@@ -240,38 +251,33 @@ def dense_oracle(op: SparseOperator) -> np.ndarray:
     return op.to_dense()
 
 
+def _edge_blocks(ops: HypergraphOperators) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (p, q) of every two pairs sharing an edge, ordered by p, then q."""
+    block = ops.deg.edge_size[ops.pair_edge]
+    p = np.repeat(np.arange(ops.N), block)
+    row_start = np.cumsum(block) - block
+    q = ops.edge_ptr[ops.pair_edge][p] + np.arange(p.size) - row_start[p]
+    return p, q
+
+
 def scaled_gradient_matrix(hg) -> SparseOperator:
     """Explicit N x n matrix of G = S^{1/2} (B - C) Dv^{-1/2}."""
     ops = as_operators(hg)
-    rows, cols, vals = [], [], []
-    for e, members in enumerate(ops.hypergraph.edges):
-        k = len(members)
-        sw = np.sqrt(ops.w_edge[e])
-        base = ops.edge_ptr[e]
-        for j, v in enumerate(members):
-            p = base + j
-            for u in members:
-                coef = -sw / (k * ops.sqrt_d[u])
-                if u == v:
-                    coef += sw / ops.sqrt_d[v]
-                rows.append(p)
-                cols.append(u)
-                vals.append(coef)
-    return SparseOperator.from_triples((ops.N, ops.n), rows, cols, vals)
+    p, q = _edge_blocks(ops)
+    u = ops.pair_node[q]
+    sw = ops.sqrt_w_pair[p]
+    vals = -sw / (ops.deg.edge_size[ops.pair_edge[p]] * ops.sqrt_d[u])
+    diag = p == q
+    vals[diag] += sw[diag] / ops.sqrt_d[u[diag]]
+    return SparseOperator.from_triples((ops.N, ops.n), p, u, vals)
 
 
 def laplacian_matrix(hg) -> SparseOperator:
     """Closed-form Laplacian I - Dv^{-1/2} H We De^{-1} H^T Dv^{-1/2}."""
     ops = as_operators(hg)
-    rows, cols, vals = [], [], []
-    for e, members in enumerate(ops.hypergraph.edges):
-        coef = ops.w_edge[e] / len(members)
-        for v in members:
-            for u in members:
-                rows.append(v)
-                cols.append(u)
-                vals.append(-coef / (ops.sqrt_d[v] * ops.sqrt_d[u]))
-    rows.extend(range(ops.n))
-    cols.extend(range(ops.n))
-    vals.extend([1.0] * ops.n)
-    return SparseOperator.from_triples((ops.n, ops.n), rows, cols, vals)
+    p, q = _edge_blocks(ops)
+    v, u = ops.pair_node[p], ops.pair_node[q]
+    vals = -(ops.w_edge / ops.deg.edge_size)[ops.pair_edge[p]] / (ops.sqrt_d[v] * ops.sqrt_d[u])
+    eye = np.arange(ops.n)
+    return SparseOperator.from_triples((ops.n, ops.n), np.r_[v, eye], np.r_[u, eye],
+                                       np.r_[vals, np.ones(ops.n)])

@@ -115,12 +115,16 @@ def step_explicit_euler(hg, a, x: np.ndarray, tau: float) -> np.ndarray:
 
 
 def step_implicit_euler(hg, a, x: np.ndarray, tau: float,
-                        fp_tol: float = 1e-10, fp_max_iter: int = 100) -> np.ndarray:
+                        fp_tol: float = 1e-10, fp_max_iter: int = 100,
+                        traj: Trajectory | None = None) -> np.ndarray:
     """One backward-Euler update solved to the stated residual.
 
     The returned y satisfies ||y - x + tau G^T A(y) G y||_F <= fp_tol.
-    Raises NoConvergence (carrying the final residual) at the iteration
-    cap.
+    Raises NoConvergence (carrying the final residual, and naming every
+    CG solve that stopped at its iteration cap) at the fixed-point
+    iteration cap. When ``traj`` is given, the step's G^T A G applies
+    are added to its ``rhs_evals``: each CG solve's matvecs, its initial
+    residual included, plus one residual per fixed-point iteration.
     """
     ops = as_operators(hg)
     a_fn = _as_fn(a)
@@ -130,20 +134,30 @@ def step_implicit_euler(hg, a, x: np.ndarray, tau: float,
     a_cur = a_fn(x)
     y = x.copy()
     residual = np.inf
-    for _ in range(max(1, fp_max_iter)):
-        y = _cg_solve(ops, a_cur, x, tau, y, tol=0.5 * fp_tol, max_iter=4 * ops.n + 40)
+    cg_tol, cg_max_iter = 0.5 * fp_tol, 4 * ops.n + 40
+    cg_capped, applies = [], 0
+    for k in range(max(1, fp_max_iter)):
+        y, cg_iters, cg_converged = _cg_solve(ops, a_cur, x, tau, y, cg_tol, cg_max_iter)
+        applies += cg_iters + 2
+        if not cg_converged:
+            cg_capped.append(k)
         a_next = a_fn(y)
         residual = float(np.linalg.norm(y - x + tau * ops.quad_apply(a_next, y)))
         if residual <= fp_tol:
+            if traj is not None:
+                traj.rhs_evals += applies
             return y
         a_cur = a_next
-    raise NoConvergence(
-        f"implicit step residual {residual:.3e} > {fp_tol:.3e}", residual
-    )
+    capped = (f"; CG stopped at {cg_max_iter} iterations above {cg_tol:.3e}"
+              f" in fixed-point iterations {cg_capped}") if cg_capped else ""
+    raise NoConvergence(f"implicit step residual {residual:.3e} > {fp_tol:.3e}{capped}", residual)
 
 
 def _cg_solve(ops, a, b, tau, x0, tol, max_iter):
-    """Conjugate gradients on (I + tau G^T diag(a) G) y = b, per column."""
+    """Conjugate gradients on (I + tau G^T diag(a) G) y = b, per column.
+
+    Returns (y, iterations, whether the residual norm met tol).
+    """
     def matvec(v):
         return v + tau * ops.quad_apply(a, v)
 
@@ -151,9 +165,10 @@ def _cg_solve(ops, a, b, tau, x0, tol, max_iter):
     r = b - matvec(x)
     p = r.copy()
     rs = (r * r).sum(axis=0)
-    for _ in range(max_iter):
-        if np.sqrt(rs.sum()) <= tol:
-            break
+    iters = 0
+    while np.sqrt(rs.sum()) > tol:
+        if iters == max_iter:
+            return x, iters, False
         Ap = matvec(p)
         den = (p * Ap).sum(axis=0)
         alpha = np.where(den > 0, rs / np.where(den > 0, den, 1.0), 0.0)
@@ -163,7 +178,8 @@ def _cg_solve(ops, a, b, tau, x0, tol, max_iter):
         beta = np.where(rs > 0, rs_new / np.where(rs > 0, rs, 1.0), 0.0)
         p = r + beta * p
         rs = rs_new
-    return x
+        iters += 1
+    return x, iters, True
 
 
 def step_rk4(hg, a, x: np.ndarray, tau: float) -> np.ndarray:
@@ -323,7 +339,8 @@ def integrate(hg, a, x0: np.ndarray, spec: SolverSpec) -> Trajectory:
             x = step_explicit_euler(ops, a_fn, x, spec.tau)
             traj.rhs_evals += 1
         elif spec.scheme == "implicit_euler":
-            x = step_implicit_euler(ops, a_fn, x, spec.tau, spec.fp_tol, spec.fp_max_iter)
+            x = step_implicit_euler(ops, a_fn, x, spec.tau, spec.fp_tol, spec.fp_max_iter,
+                                    traj=traj)
         else:  # rk4
             x = step_rk4(ops, a_fn, x, spec.tau)
             traj.rhs_evals += 4

@@ -31,12 +31,6 @@ from .synth import perturb_features, perturb_structure
 PARAM_SEED_OFFSET = 104729
 DROPOUT_SEED_OFFSET = 15485863
 
-# search grids used by the benchmark protocol; sweeps take these lists
-WEIGHT_DECAY_GRID = (0.001, 0.01, 0.1)
-INPUT_DROPOUT_GRID = (0.001, 0.01, 0.1, 0.2, 0.3)
-HIDDEN_DIM_GRID = (16, 32, 64, 128, 256, 512)
-HORIZON_GRID = (4.0, 5.0, 6.0, 7.0, 8.0)
-
 
 @dataclass(frozen=True)
 class SplitMasks:
@@ -251,7 +245,7 @@ def train_and_evaluate(dataset: Dataset, config: TrainConfig) -> MetricsReport:
     )
 
 
-def _run_points(fn, items, max_workers: int) -> list:
+def run_points(fn, items, max_workers: int) -> list:
     """Evaluate independent sweep points, optionally across worker threads.
 
     Results keep the submission order, so fan-out does not change output.
@@ -273,7 +267,7 @@ def depth_sweep(dataset: Dataset, config: TrainConfig, layer_counts,
         cfg = TrainConfig(**_retuple(cfg_kwargs))
         return {"layers": int(layers), "report": train_and_evaluate(dataset, cfg)}
 
-    return _run_points(point, list(layer_counts), max_workers)
+    return run_points(point, list(layer_counts), max_workers)
 
 
 def noise_sweep(dataset: Dataset, config: TrainConfig, kind: str, rates,
@@ -296,7 +290,7 @@ def noise_sweep(dataset: Dataset, config: TrainConfig, kind: str, rates,
             )
         return {"rate": rate, "report": train_and_evaluate(noisy, config)}
 
-    return _run_points(point, list(rates), max_workers)
+    return run_points(point, list(rates), max_workers)
 
 
 def _perturb_structure_retry(dataset: Dataset, rate: float, seed: int, retries: int) -> Dataset:

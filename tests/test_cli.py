@@ -145,6 +145,26 @@ def test_train_depth_sweep(tmp_path):
     assert [p["layers"] for p in body["points"]] == [0, 2]
 
 
+def test_train_depth_sweep_threads_byte_identical(tmp_path, monkeypatch):
+    # sweep points share one dataset, so threads share its cached workspace
+    args = ["train"] + TRAIN_ARGS + ["--layers", "1,2,3", "--splits", "1"]
+    bodies = []
+    for threads in ("", "2"):
+        monkeypatch.setenv("HND_THREADS", threads)
+        out = str(tmp_path / f"threads{threads}")
+        assert main(args + ["--out", out]) == 0
+        bodies.append(open(os.path.join(out, "metrics.json"), "rb").read())
+    assert bodies[0] == bodies[1]
+
+
+def test_train_non_finite_feature_exits_2(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text(H0_DATASET.replace("[0.0], [0.0]]", "[NaN], [0.0]]"))
+    assert main(["train", "--dataset", str(path), "--epochs", "1", "--splits", "1",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "MalformedDocument" in capsys.readouterr().err
+
+
 def test_train_noise_sweep(tmp_path):
     out = str(tmp_path / "ns")
     assert main(["train"] + TRAIN_ARGS + ["--noise", "mask", "--rates", "0.0,0.5",

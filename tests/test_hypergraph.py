@@ -118,6 +118,26 @@ def test_dataset_round_trip():
     assert dataset_to_json(back) == text
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_features(bad):
+    features = np.eye(3)
+    features[1, 2] = bad
+    with pytest.raises(MalformedDocument):
+        Dataset(hypergraph=parse_hypergraph(H0_TEXT), features=features,
+                labels=np.array([0, 1, 0]), class_count=2)
+
+
+def test_degrees_equal_edge_loop_reference():
+    from conftest import random_hypergraph
+
+    for seed in range(50):
+        hg = random_hypergraph(seed)
+        ref = np.zeros(hg.n)
+        for members, w in zip(hg.edges, hg.weights):
+            ref[list(members)] += w
+        assert degrees(hg).d_v.tobytes() == ref.tobytes()
+
+
 def test_degrees_h0_unit_weights(h0):
     deg = degrees(h0)
     assert np.array_equal(deg.d_v, [2.0, 2.0, 1.0])

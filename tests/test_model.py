@@ -203,6 +203,20 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_checkpoint(str(path))
 
 
+def test_checkpoint_rejects_truncated_and_padded(tmp_path):
+    from hnd.errors import MalformedDocument
+
+    _, params, _, _ = small_instance(seed=31)
+    good = tmp_path / "model.ckpt"
+    save_checkpoint(params, str(good))
+    data = good.read_bytes()
+    bad = tmp_path / "bad.ckpt"
+    for damaged in (data[:-8], data[:-1], data[:20], data + b"\x00", data + data[-8:]):
+        bad.write_bytes(damaged)
+        with pytest.raises(MalformedDocument):
+            load_checkpoint(str(bad))
+
+
 def test_params_vector_round_trip():
     _, params, _, _ = small_instance(seed=41)
     vec = params.to_vector()

@@ -172,3 +172,137 @@ def test_matrix_market_export(h0_ops):
     assert text.startswith("%%MatrixMarket matrix coordinate real general")
     parsed = mmread(io.StringIO(text)).toarray()
     assert np.allclose(parsed, dense_oracle(L), atol=0)
+
+
+def _incidence(ops):
+    """Dense N x n pair-to-node and N x m pair-to-edge selectors."""
+    B = np.zeros((ops.N, ops.n))
+    B[np.arange(ops.N), ops.pair_node] = 1.0
+    C = np.zeros((ops.N, ops.m))
+    C[np.arange(ops.N), ops.pair_edge] = 1.0
+    return B, C
+
+
+@given(st.integers(0, 2**32), st.lists(st.sampled_from([1, 2, 3, 5, 16]), min_size=2, max_size=4))
+@settings(max_examples=20, deadline=None)
+def test_node_and_edge_sums_match_incidence_products(seed, widths):
+    ops = HypergraphOperators(random_hypergraph(seed))
+    B, C = _incidence(ops)
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(ops.N)
+    assert np.allclose(ops.node_sum(v), B.T @ v, atol=1e-12)
+    assert np.allclose(ops.edge_sum(v), C.T @ v, atol=1e-12)
+    # each new width fills the scatter-index cache; revisits reuse it
+    for d in widths + widths[:1]:
+        z = rng.standard_normal((ops.N, d))
+        assert ops.node_sum(z).shape == (ops.n, d)
+        assert np.allclose(ops.node_sum(z), B.T @ z, atol=1e-12)
+        assert np.allclose(ops.edge_sum(z), C.T @ z, atol=1e-12)
+    # a strided (non-contiguous) column block sums like its copy
+    wide = rng.standard_normal((ops.N, 6))
+    assert np.array_equal(ops.node_sum(wide[:, :3]), ops.node_sum(wide[:, :3].copy()))
+
+
+def test_as_operators_cached_per_hypergraph():
+    from hnd.operators import as_operators
+
+    hg = random_hypergraph(7)
+    ops = as_operators(hg)
+    assert as_operators(hg) is ops
+    assert as_operators(ops) is ops
+    assert as_operators(random_hypergraph(7)) is not ops
+
+
+def test_workspace_cache_shared_under_thread_race():
+    import sys
+    import threading
+
+    from hnd.operators import as_operators
+
+    hg = random_hypergraph(13)
+    z = np.random.default_rng(13).standard_normal((sum(map(len, hg.edges)), 7))
+    workers = 8
+    barrier = threading.Barrier(workers)
+    seen, sums = [], []
+
+    def work():
+        barrier.wait(timeout=10)
+        ops = as_operators(hg)
+        seen.append(ops)
+        sums.append(ops.node_sum(z).tobytes())
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(t.is_alive() for t in threads)
+    assert len(seen) == workers and all(ops is as_operators(hg) for ops in seen)
+    assert len(set(sums)) == 1
+
+
+def test_quad_apply_bit_identical_across_calls():
+    ops = HypergraphOperators(random_hypergraph(11))
+    rng = np.random.default_rng(11)
+    a = rng.uniform(0.1, 1.0, ops.N)
+    for f in (rng.standard_normal(ops.n), rng.standard_normal((ops.n, 4))):
+        assert ops.quad_apply(a, f).tobytes() == ops.quad_apply(a, f).tobytes()
+
+
+def _loop_scaled_gradient_triples(ops, hg):
+    rows, cols, vals = [], [], []
+    for e, members in enumerate(hg.edges):
+        k = len(members)
+        sw = np.sqrt(ops.w_edge[e])
+        for j, v in enumerate(members):
+            for u in members:
+                coef = -sw / (k * ops.sqrt_d[u])
+                if u == v:
+                    coef += sw / ops.sqrt_d[v]
+                rows.append(ops.edge_ptr[e] + j)
+                cols.append(u)
+                vals.append(coef)
+    return rows, cols, vals
+
+
+def _loop_laplacian_triples(ops, hg):
+    rows, cols, vals = [], [], []
+    for e, members in enumerate(hg.edges):
+        coef = ops.w_edge[e] / len(members)
+        for v in members:
+            for u in members:
+                rows.append(v)
+                cols.append(u)
+                vals.append(-coef / (ops.sqrt_d[v] * ops.sqrt_d[u]))
+    rows.extend(range(ops.n))
+    cols.extend(range(ops.n))
+    vals.extend([1.0] * ops.n)
+    return rows, cols, vals
+
+
+def test_matrix_builders_equal_loop_reference():
+    for seed in range(10):
+        hg = random_hypergraph(seed + 700)
+        ops = HypergraphOperators(hg)
+        cases = (
+            (scaled_gradient_matrix(ops), (ops.N, ops.n), _loop_scaled_gradient_triples),
+            (laplacian_matrix(ops), (ops.n, ops.n), _loop_laplacian_triples),
+        )
+        for built, shape, loop in cases:
+            ref = SparseOperator.from_triples(shape, *loop(ops, hg))
+            for name in ("row", "col", "val"):
+                assert np.array_equal(getattr(built, name), getattr(ref, name))
+
+
+def test_sparse_apply_matches_scatter_loop():
+    G = scaled_gradient_matrix(random_hypergraph(5))
+    rng = np.random.default_rng(5)
+    for x in (rng.standard_normal(G.shape[1]), rng.standard_normal((G.shape[1], 3))):
+        ref = np.zeros((G.shape[0],) + x.shape[1:])
+        np.add.at(ref, G.row, (G.val[:, None] * x[G.col]) if x.ndim == 2 else G.val * x[G.col])
+        assert np.array_equal(G.apply(x), ref)

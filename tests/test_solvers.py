@@ -173,6 +173,44 @@ def test_implicit_euler_no_convergence_reports_residual(h0_setup):
     assert err.value.residual > 0
 
 
+def test_implicit_euler_counts_every_quad_apply(h0_setup):
+    ops, a, _ = h0_setup
+    x = np.array([[1.0, -0.5], [0.0, 2.0], [0.0, 0.3]])
+    calls = {"k": 0}
+    original = ops.quad_apply
+
+    def counted(*args):
+        calls["k"] += 1
+        return original(*args)
+
+    ops.quad_apply = counted
+    spec = SolverSpec(scheme="implicit_euler", tau=10.0, steps=3, fp_tol=1e-11)
+    traj = integrate(ops, a, x, spec)
+    assert traj.rhs_evals == calls["k"] > 0
+
+
+def test_cg_solve_reports_iterations_and_convergence(h0_setup):
+    from hnd.solvers import _cg_solve
+
+    ops, a, x = h0_setup
+    y, iters, converged = _cg_solve(ops, a.values, x, 10.0, x, tol=1e-12, max_iter=50)
+    assert converged and 0 < iters <= ops.n + 1
+    assert np.linalg.norm(y + 10.0 * ops.quad_apply(a.values, y) - x) <= 1e-12
+    _, iters, converged = _cg_solve(ops, a.values, x, 10.0, x, tol=1e-12, max_iter=1)
+    assert (iters, converged) == (1, False)
+
+
+def test_implicit_euler_no_convergence_names_capped_cg(h0_setup, monkeypatch):
+    from hnd import solvers
+
+    ops, a, x = h0_setup
+    one_step_cg = solvers._cg_solve
+    monkeypatch.setattr(solvers, "_cg_solve",
+                        lambda *args: one_step_cg(*args[:-1], max_iter=1))
+    with pytest.raises(NoConvergence, match=r"CG stopped .* fixed-point iterations \[0, 1, 2\]"):
+        step_implicit_euler(ops, a.values, x, 5.0, fp_tol=1e-10, fp_max_iter=3)
+
+
 def test_rk4_tau_zero(h0_setup):
     ops, a, x = h0_setup
     assert np.array_equal(step_rk4(ops, a.values, x, 0.0), x)

@@ -139,6 +139,24 @@ def test_report_json_excludes_wall_times():
     assert "library_version" in obj
 
 
+def test_train_single_split_builds_one_workspace(monkeypatch):
+    from hnd import operators
+    from hnd.train import make_splits, train_single_split
+
+    builds = {"k": 0}
+    init = operators.HypergraphOperators.__init__
+
+    def counted(self, hg):
+        builds["k"] += 1
+        init(self, hg)
+
+    monkeypatch.setattr(operators.HypergraphOperators, "__init__", counted)
+    ds = small_sbm()
+    cfg = TrainConfig(hidden_dim=8, horizon=2.0, tau=1.0, epochs=3, split_count=1)
+    train_single_split(ds, cfg, make_splits(ds.hypergraph.n, cfg.ratios, 0, 1)[0], 0)
+    assert builds["k"] == 1
+
+
 def test_depth_sweep_includes_zero_anchor():
     ds = small_sbm()
     cfg = TrainConfig(hidden_dim=8, tau=1.0, epochs=3, split_count=1)
