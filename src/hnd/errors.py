@@ -76,7 +76,7 @@ class TooLarge(HndError):
 
 
 class InvalidRatios(HndError):
-    """Split ratios are negative or do not sum to one."""
+    """Split ratios are negative, do not sum to one, or leave a set empty."""
 
 
 class UnsupportedSchemeForTraining(HndError):

@@ -18,8 +18,10 @@ Two interchangeable document formats are supported:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import chain
+from operator import index
 
 import numpy as np
 
@@ -53,10 +55,12 @@ class Hypergraph:
             raise MalformedDocument(
                 f"{len(self.edges)} edges but {len(self.weights)} weights"
             )
-        canonical = []
-        covered = np.zeros(self.n, dtype=bool)
-        for i, members in enumerate(self.edges):
-            ms = tuple(sorted(int(v) for v in members))
+        canonical = tuple(tuple(sorted(map(int, members))) for members in self.edges)
+        # every node needs a pair of its own, so check before allocating n flags
+        pairs = sum(map(len, canonical))
+        if self.n > pairs:
+            raise IsolatedNode(f"{self.n} nodes cannot all belong to edges with {pairs} members")
+        for i, ms in enumerate(canonical):
             if len(ms) < 2:
                 raise DegenerateEdge(f"edge {i} has cardinality {len(ms)} < 2")
             if len(set(ms)) != len(ms):
@@ -65,17 +69,17 @@ class Hypergraph:
                 raise NodeIdOutOfRange(
                     f"edge {i} references node outside [0, {self.n})"
                 )
-            covered[list(ms)] = True
-            canonical.append(ms)
-        for i, w in enumerate(self.weights):
-            w = float(w)
-            if not np.isfinite(w) or w <= 0.0:
+        weights = tuple(map(float, self.weights))
+        for i, w in enumerate(weights):
+            if not 0.0 < w < math.inf:
                 raise NonPositiveWeight(f"edge {i} has weight {w}")
+        covered = np.zeros(self.n, dtype=bool)
+        covered[np.fromiter(chain.from_iterable(canonical), dtype=np.int64, count=pairs)] = True
         if not covered.all():
             missing = int(np.flatnonzero(~covered)[0])
             raise IsolatedNode(f"node {missing} belongs to no hyperedge")
-        object.__setattr__(self, "edges", tuple(canonical))
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        object.__setattr__(self, "edges", canonical)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def m(self) -> int:
@@ -157,25 +161,31 @@ def parse_hypergraph(document: str) -> Hypergraph:
     """
     stripped = document.lstrip()
     if stripped.startswith("{"):
-        return _parse_json(stripped)
+        return _hypergraph_from_json(_load_json_object(stripped))
     return _parse_text(document)
 
 
-def _parse_json(document: str) -> Hypergraph:
+def _load_json_object(document: str) -> dict:
     try:
         obj = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise MalformedDocument(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise MalformedDocument("top-level JSON value must be an object")
+    return obj
+
+
+def _hypergraph_from_json(obj: dict) -> Hypergraph:
     for key in ("n", "edges", "weights"):
         if key not in obj:
             raise MalformedDocument(f"missing required key {key!r}")
+    # index() accepts JSON integers only, where int() would truncate 0.7
+    # and overflow on Infinity
     try:
-        n = int(obj["n"])
-        edges = tuple(tuple(int(v) for v in e) for e in obj["edges"])
-        weights = tuple(float(w) for w in obj["weights"])
-    except (TypeError, ValueError) as exc:
+        n = index(obj["n"])
+        edges = tuple(tuple(map(index, e)) for e in obj["edges"])
+        weights = tuple(map(float, obj["weights"]))
+    except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedDocument(f"malformed JSON fields: {exc}") from exc
     return Hypergraph(n=n, edges=edges, weights=weights)
 
@@ -216,19 +226,20 @@ def _parse_text(document: str) -> Hypergraph:
 
 def parse_dataset(document: str) -> Dataset:
     """Parse a JSON dataset document (hypergraph + features + labels)."""
-    try:
-        obj = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise MalformedDocument(f"invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise MalformedDocument("top-level JSON value must be an object")
-    hg = _parse_json(document)
+    obj = _load_json_object(document)
+    hg = _hypergraph_from_json(obj)
     for key in ("features", "labels"):
         if key not in obj:
             raise MalformedDocument(f"dataset document missing {key!r}")
-    features = np.asarray(obj["features"], dtype=np.float64)
-    labels = np.asarray(obj["labels"], dtype=np.int64)
-    class_count = int(obj.get("class_count", labels.max() + 1 if labels.size else 0))
+    try:
+        features = np.asarray(obj["features"], dtype=np.float64)
+        labels = np.asarray(obj["labels"])
+        if labels.size and labels.dtype.kind not in "iu":
+            raise MalformedDocument(f"labels must be integers, got {labels.dtype} values")
+        labels = labels.astype(np.int64)
+        class_count = index(obj.get("class_count", labels.max() + 1 if labels.size else 0))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MalformedDocument(f"malformed dataset fields: {exc}") from exc
     return Dataset(hypergraph=hg, features=features, labels=labels, class_count=class_count)
 
 

@@ -173,12 +173,15 @@ def forward(params: ModelParams, dataset: Dataset, spec: SolverSpec, variant: st
 def loss_and_gradients(params: ModelParams, dataset: Dataset, train_mask: np.ndarray,
                        spec: SolverSpec, variant: str, weight_decay: float = 0.0,
                        input_dropout: float = 0.0, dropout_seed: int = 0,
-                       agg: str = "mean") -> tuple[float, ModelParams]:
+                       agg: str = "mean") -> tuple[float, ModelParams, np.ndarray]:
     """Masked softmax cross-entropy plus L2 penalty, with exact gradients.
 
     Reverse-mode differentiation runs through the decoder, every
     explicit-Euler diffusion step (including the modulation path), and
-    the encoder.
+    the encoder. Returns ``(loss, grads, logits)``. Without input
+    dropout the logits equal ``forward``'s for the same arguments bit
+    for bit, because both passes do the same arithmetic in the same
+    order; with dropout they are the logits of the dropped-out inputs.
     """
     if spec.scheme != "explicit_euler":
         raise UnsupportedSchemeForTraining(
@@ -268,7 +271,7 @@ def loss_and_gradients(params: ModelParams, dataset: Dataset, train_mask: np.nda
     if weight_decay != 0.0:
         gvec = grads.to_vector() + weight_decay * pvec
         grads = grads.from_vector(gvec)
-    return float(loss), grads
+    return float(loss), grads, logits
 
 
 def _accumulate(total: AttentionParams, delta: AttentionParams) -> None:

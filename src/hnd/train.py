@@ -1,9 +1,13 @@
 """Semi-supervised training protocol: splits, Adam, sweeps, metrics.
 
-A run trains full-graph on the train mask, selects the epoch with the
+A run trains full-graph on the train mask, scores the parameters after
+every epoch's update on the validation mask, selects the epoch with the
 best validation accuracy (ties to the earliest), and reports test
-accuracy of the selected parameters. Results aggregate over k seeded
-splits as mean and sample standard deviation.
+accuracy of the selected parameters. Each split's record carries the
+per-epoch training losses and validation accuracies. Without input
+dropout, the validation scores come from the next epoch's loss pass,
+so one split runs a single extra forward pass. Results aggregate over k
+seeded splits as mean and sample standard deviation.
 
 Every random choice derives from ``base_seed`` through documented
 offsets, so identical configs reproduce identical reports bit for bit.
@@ -51,14 +55,22 @@ def _ratio_sizes(n: int, ratios) -> list[int]:
 
 
 def make_splits(n: int, ratios, base_seed: int, k: int) -> list[SplitMasks]:
-    """k deterministic train/val/test partitions; split i uses seed base_seed + i."""
+    """k deterministic train/val/test partitions; split i uses seed base_seed + i.
+
+    Raises InvalidRatios unless all three sets are non-empty.
+    """
     ratios = tuple(float(r) for r in ratios)
     if len(ratios) != 3 or any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
         raise InvalidRatios(f"ratios must be three non-negatives summing to 1, got {ratios}")
     if k < 1:
         raise InvalidRatios("need at least one split")
-    out = []
     sizes = _ratio_sizes(n, ratios)
+    if min(sizes) == 0:
+        raise InvalidRatios(
+            f"ratios {ratios} leave an empty train, validation or test set of {n} nodes: "
+            f"sizes {sizes}"
+        )
+    out = []
     for i in range(k):
         perm = make_rng(base_seed + i).permutation(n)
         masks = []
@@ -172,17 +184,31 @@ def accuracy(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
 
 def train_single_split(dataset: Dataset, config: TrainConfig, masks: SplitMasks,
                        split_index: int) -> dict:
-    """Train one split; returns the per-split result record."""
+    """Train one split; returns the per-split result record.
+
+    Epoch e's updated parameters are scored on the validation mask from
+    the logits of epoch e + 1's loss pass, which equal ``forward``'s
+    when there is no input dropout; with dropout, and for the last
+    epoch, ``forward`` scores them. The selected epoch's logits give the
+    test accuracy.
+    """
     spec = config.solver_spec()
     params = ModelParams.init(
         dataset.features.shape[1], config.hidden_dim, dataset.class_count,
         seed=config.base_seed + PARAM_SEED_OFFSET + split_index,
     )
     state = AdamState.init(params)
-    best = (-1.0, 0, params.to_vector())  # (val acc, epoch, snapshot)
-    losses = []
+    best = (-1.0, 0, None)  # (val acc, epoch, logits)
+    losses, val_accs = [], []
+
+    def score(logits):
+        nonlocal best
+        val_accs.append(accuracy(logits, dataset.labels, masks.val))
+        if val_accs[-1] > best[0]:
+            best = (val_accs[-1], len(val_accs) - 1, logits)
+
     for epoch in range(config.epochs):
-        loss, grads = loss_and_gradients(
+        loss, grads, logits = loss_and_gradients(
             params, dataset, masks.train, spec, config.variant,
             weight_decay=config.weight_decay,
             input_dropout=config.input_dropout,
@@ -190,21 +216,21 @@ def train_single_split(dataset: Dataset, config: TrainConfig, masks: SplitMasks,
             + 1000003 * split_index + epoch,
             agg=config.agg,
         )
+        if epoch > 0:
+            if config.input_dropout > 0.0:
+                logits = forward(params, dataset, spec, config.variant, agg=config.agg)
+            score(logits)
         params, state = adam_step(params, grads, state, lr=config.lr,
                                   betas=config.betas, eps=config.eps)
         losses.append(loss)
-        logits = forward(params, dataset, spec, config.variant, agg=config.agg)
-        val_acc = accuracy(logits, dataset.labels, masks.val)
-        if val_acc > best[0]:
-            best = (val_acc, epoch, params.to_vector())
-    selected = params.from_vector(best[2])
-    logits = forward(selected, dataset, spec, config.variant, agg=config.agg)
+    score(forward(params, dataset, spec, config.variant, agg=config.agg))
     return {
         "split": split_index,
         "val_accuracy": best[0],
         "best_epoch": best[1],
-        "test_accuracy": accuracy(logits, dataset.labels, masks.test),
+        "test_accuracy": accuracy(best[2], dataset.labels, masks.test),
         "train_losses": losses,
+        "val_accuracies": val_accs,
     }
 
 

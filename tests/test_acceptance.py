@@ -254,7 +254,7 @@ def test_criterion_8_gradcheck():
 
     for variant in ("l", "nl"):
         params = ModelParams.init(d_in, hidden, classes, seed=13)
-        _, grads = loss_and_gradients(params, ds, mask, spec, variant,
+        _, grads, _ = loss_and_gradients(params, ds, mask, spec, variant,
                                       weight_decay=0.01)
         gvec = grads.to_vector()
         pvec = params.to_vector()
@@ -262,9 +262,9 @@ def test_criterion_8_gradcheck():
         for i in range(pvec.size):
             pp = pvec.copy(); pp[i] += h
             pm = pvec.copy(); pm[i] -= h
-            lp, _ = loss_and_gradients(params.from_vector(pp), ds, mask, spec,
+            lp, _, _ = loss_and_gradients(params.from_vector(pp), ds, mask, spec,
                                        variant, weight_decay=0.01)
-            lm, _ = loss_and_gradients(params.from_vector(pm), ds, mask, spec,
+            lm, _, _ = loss_and_gradients(params.from_vector(pm), ds, mask, spec,
                                        variant, weight_decay=0.01)
             fd = (lp - lm) / (2 * h)
             assert abs(gvec[i] - fd) <= 1e-5 * max(abs(fd), 1e-8), (variant, i)

@@ -165,6 +165,31 @@ def test_train_non_finite_feature_exits_2(tmp_path, capsys):
     assert "MalformedDocument" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ratios", [[0.5, 0.5, 0.0], [0.5, 0.0, 0.5]])
+def test_train_empty_split_exits_2(tmp_path, capsys, ratios):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ratios": ratios}))
+    out = tmp_path / "o"
+    assert main(["train", "--config", str(cfg)] + TRAIN_ARGS + ["--out", str(out)]) == 2
+    assert "InvalidRatios" in capsys.readouterr().err
+    assert not (out / "metrics.json").exists()
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("n", "Infinity"), ("n", "1e15"), ("edges", "[[0, Infinity], [0, 1, 2]]"),
+     ("labels", "[0.7, 1.9, 0]"), ("features", "[[1.0], [0.0, 2.0], [0.0]]")],
+)
+def test_train_hostile_dataset_exits_2(tmp_path, capsys, field, value):
+    obj = json.loads(H0_DATASET)
+    obj[field] = "PLACEHOLDER"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj).replace('"PLACEHOLDER"', value))
+    assert main(["train", "--dataset", str(path), "--epochs", "1", "--splits", "1",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "error: MalformedDocument" in capsys.readouterr().err
+
+
 def test_train_noise_sweep(tmp_path):
     out = str(tmp_path / "ns")
     assert main(["train"] + TRAIN_ARGS + ["--noise", "mask", "--rates", "0.0,0.5",

@@ -2,9 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hnd.errors import (
     DegenerateEdge,
+    HndError,
     IsolatedNode,
     MalformedDocument,
     NodeIdOutOfRange,
@@ -174,3 +177,110 @@ def test_pair_index_reversed_edge_order():
 def test_pair_count_matches_edge_sizes(h0):
     deg = degrees(h0)
     assert deg.edge_size.sum() == pair_index(h0).N
+
+
+@pytest.mark.parametrize(
+    "doc,err",
+    [
+        ('{"n": Infinity, "edges": [[0, 1]], "weights": [1.0]}', MalformedDocument),
+        ('{"n": 2, "edges": [[0, Infinity]], "weights": [1.0]}', MalformedDocument),
+        ('{"n": 2, "edges": [[0, 0.7]], "weights": [1.0]}', MalformedDocument),
+        ('{"n": 1e15, "edges": [[0, 1]], "weights": [1.0]}', MalformedDocument),
+        ('{"n": 1000000000000000, "edges": [[0, 1]], "weights": [1.0]}', IsolatedNode),
+        ('{"n": 2, "edges": [[0, 1]], "weights": [1' + "0" * 400 + "]}", MalformedDocument),
+        ('{"n": 2, "edges": [[0, 1' + "0" * 5000 + ']], "weights": [1.0]}', MalformedDocument),
+        ('{"n": 2, "edges": ' + "[" * 100000, MalformedDocument),
+        ("100000000000000000000 1\n1.0 2 0 1\n", IsolatedNode),
+    ],
+    ids=["n-inf", "node-inf", "node-float", "n-float", "n-huge", "weight-huge",
+         "node-digits", "deep-nesting", "text-n-huge"],
+)
+def test_hostile_documents_fail_typed(doc, err):
+    with pytest.raises(err):
+        parse_hypergraph(doc)
+
+
+def test_isolated_node_found_before_node_flags_are_allocated():
+    with pytest.raises(IsolatedNode):
+        Hypergraph(n=10**15, edges=((0, 1),), weights=(1.0,))
+
+
+# a valid dataset document; the tests below replace some of its fields
+VALID_DATASET = {"n": 3, "edges": [[0, 1], [0, 1, 2]], "weights": [1.0, 1.0],
+                 "features": [[1.0], [0.0], [0.0]], "labels": [0, 1, 0], "class_count": 2}
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"labels": [0.7, 1.9, 0]},
+        {"labels": [0, 1, 1.5]},
+        {"labels": [True, False, True]},
+        {"labels": ["0", "1", "0"]},
+        {"labels": [0, [1], 0]},
+        {"features": [[1.0], [0.0, 2.0], [0.0]]},
+        {"features": [[1.0], ["x"], [0.0]]},
+        {"features": [[1.0], [10**400], [0.0]]},
+        {"class_count": 2.5},
+        {"class_count": "2"},
+    ],
+)
+def test_dataset_fields_fail_typed(fields):
+    with pytest.raises(MalformedDocument):
+        parse_dataset(json.dumps({**VALID_DATASET, **fields}))
+
+
+# ------------------------------------------------------------ fuzzing
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+field_values = (json_values | st.lists(json_values, min_size=2, max_size=3)
+                | st.lists(st.lists(json_values, min_size=1, max_size=3), min_size=2, max_size=3))
+mutated = st.dictionaries(st.sampled_from(sorted(VALID_DATASET)), field_values,
+                          min_size=1, max_size=2).map(lambda d: json.dumps({**VALID_DATASET, **d}))
+text_tokens = (st.integers(-3, 10**20).map(str) | st.floats().map(repr)
+               | st.sampled_from(["inf", "nan", "1e999", "x", "#", "{", "-0"]))
+text_lines = st.lists(st.lists(text_tokens, max_size=6).map(" ".join), max_size=6).map("\n".join)
+documents = st.text() | text_lines | json_values.map(json.dumps) | mutated
+
+
+@given(documents)
+@settings(max_examples=400, deadline=None)
+def test_parsers_raise_only_hnd_errors(doc):
+    for parse in (parse_hypergraph, parse_dataset):
+        try:
+            parse(doc)
+        except HndError:
+            pass
+
+
+@st.composite
+def hypergraphs(draw):
+    n = draw(st.integers(2, 12))
+    nodes = st.integers(0, n - 1)
+    edges = draw(st.lists(st.lists(nodes, min_size=2, max_size=5, unique=True),
+                          min_size=1, max_size=8))
+    covered = {v for e in edges for v in e}
+    edges += [[v, (v + 1) % n] for v in range(n) if v not in covered]
+    weight = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    weights = draw(st.lists(weight, min_size=len(edges), max_size=len(edges)))
+    return Hypergraph(n=n, edges=tuple(map(tuple, edges)), weights=tuple(weights))
+
+
+@given(hypergraphs(), st.integers(1, 3), st.data())
+@settings(max_examples=150, deadline=None)
+def test_formats_round_trip(hg, d, data):
+    assert parse_hypergraph(hypergraph_to_text(hg)) == hg
+    assert parse_hypergraph(hypergraph_to_json(hg)) == hg
+    features = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                  min_size=hg.n * d, max_size=hg.n * d))
+    labels = data.draw(st.lists(st.integers(0, 2), min_size=hg.n, max_size=hg.n))
+    ds = Dataset(hypergraph=hg, features=np.reshape(features, (hg.n, d)),
+                 labels=labels, class_count=3)
+    back = parse_dataset(dataset_to_json(ds))
+    assert back.hypergraph == hg and back.class_count == 3
+    assert back.features.tobytes() == ds.features.tobytes()
+    assert np.array_equal(back.labels, ds.labels)

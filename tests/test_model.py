@@ -1,9 +1,14 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hnd.errors import ShapeMismatch, UnsupportedSchemeForTraining
+from hnd.errors import HndError, ShapeMismatch, UnsupportedSchemeForTraining
 from hnd.hypergraph import Dataset, Hypergraph
 from hnd.model import (
+    CHECKPOINT_MAGIC,
     ModelParams,
     forward,
     load_checkpoint,
@@ -97,10 +102,10 @@ def test_forward_shape_mismatch():
 def test_loss_uniform_logits_is_log_classcount():
     ds, params, spec, mask = small_instance()
     params.w_out[:] = 0.0  # forces logits == 0 -> uniform softmax
-    loss, _ = loss_and_gradients(params, ds, mask, spec, "l", weight_decay=0.0)
+    loss, _, _ = loss_and_gradients(params, ds, mask, spec, "l", weight_decay=0.0)
     assert abs(loss - np.log(3)) <= 1e-12
     wd = 0.01
-    loss_wd, _ = loss_and_gradients(params, ds, mask, spec, "l", weight_decay=wd)
+    loss_wd, _, _ = loss_and_gradients(params, ds, mask, spec, "l", weight_decay=wd)
     pvec = params.to_vector()
     assert abs(loss_wd - (np.log(3) + 0.5 * wd * pvec @ pvec)) <= 1e-12
 
@@ -118,7 +123,7 @@ def test_zero_features_zero_attention_gives_zero_encoder_grad():
                  features=np.zeros_like(ds.features),
                  labels=ds.labels, class_count=ds.class_count)
     params.attention = params.attention.zeros_like()
-    _, grads = loss_and_gradients(params, ds, mask, spec, "l")
+    _, grads, _ = loss_and_gradients(params, ds, mask, spec, "l")
     assert np.abs(grads.w_in).max() == 0.0
 
 
@@ -126,7 +131,7 @@ def test_zero_features_zero_attention_gives_zero_encoder_grad():
 @pytest.mark.parametrize("agg", ["mean", "max"])
 def test_gradcheck_small(variant, agg):
     ds, params, spec, mask = small_instance(seed=11)
-    loss, grads = loss_and_gradients(params, ds, mask, spec, variant,
+    loss, grads, _ = loss_and_gradients(params, ds, mask, spec, variant,
                                      weight_decay=0.013, agg=agg)
     gvec = grads.to_vector()
     pvec = params.to_vector()
@@ -136,18 +141,30 @@ def test_gradcheck_small(variant, agg):
     for i in coords:
         pp = pvec.copy(); pp[i] += h
         pm = pvec.copy(); pm[i] -= h
-        lp, _ = loss_and_gradients(params.from_vector(pp), ds, mask, spec, variant,
+        lp, _, _ = loss_and_gradients(params.from_vector(pp), ds, mask, spec, variant,
                                    weight_decay=0.013, agg=agg)
-        lm, _ = loss_and_gradients(params.from_vector(pm), ds, mask, spec, variant,
+        lm, _, _ = loss_and_gradients(params.from_vector(pm), ds, mask, spec, variant,
                                    weight_decay=0.013, agg=agg)
         fd = (lp - lm) / (2 * h)
         assert abs(gvec[i] - fd) <= 1e-5 * max(abs(fd), 1e-8)
 
 
+@pytest.mark.parametrize("variant", ["l", "nl"])
+@pytest.mark.parametrize("agg", ["mean", "max"])
+@pytest.mark.parametrize("steps", [0, 3])
+def test_loss_pass_logits_equal_forward(variant, agg, steps):
+    # training scores each epoch from these logits instead of calling forward
+    ds, params, _, mask = small_instance(seed=13)
+    spec = SolverSpec(scheme="explicit_euler", tau=0.6, steps=steps)
+    _, _, logits = loss_and_gradients(params, ds, mask, spec, variant,
+                                      weight_decay=0.01, agg=agg)
+    assert np.array_equal(logits, forward(params, ds, spec, variant, agg=agg))
+
+
 def test_gradients_deterministic():
     ds, params, spec, mask = small_instance()
-    l1, g1 = loss_and_gradients(params, ds, mask, spec, "nl", weight_decay=0.01)
-    l2, g2 = loss_and_gradients(params, ds, mask, spec, "nl", weight_decay=0.01)
+    l1, g1, _ = loss_and_gradients(params, ds, mask, spec, "nl", weight_decay=0.01)
+    l2, g2, _ = loss_and_gradients(params, ds, mask, spec, "nl", weight_decay=0.01)
     assert l1 == l2
     assert np.array_equal(g1.to_vector(), g2.to_vector())
 
@@ -224,3 +241,29 @@ def test_params_vector_round_trip():
     assert np.array_equal(back.to_vector(), vec)
     with pytest.raises(ShapeMismatch):
         params.from_vector(np.zeros(vec.size + 1))
+
+
+def test_checkpoint_fuzz_raises_only_hnd_errors(tmp_path):
+    path = tmp_path / "fuzz.ckpt"
+    header = st.builds(
+        lambda dims, slope: CHECKPOINT_MAGIC + struct.pack("<IIII", 1, *dims)
+        + struct.pack("<d", slope),
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+        st.floats(allow_nan=True),
+    )
+    documents = st.one_of(
+        st.binary(max_size=200),
+        st.binary(max_size=200).map(lambda b: CHECKPOINT_MAGIC + b),
+        st.tuples(header, st.binary(max_size=400)).map(lambda hb: hb[0] + hb[1]),
+    )
+
+    @given(documents)
+    @settings(max_examples=300, deadline=None)
+    def check(data):
+        path.write_bytes(data)
+        try:
+            load_checkpoint(str(path))
+        except HndError:
+            pass
+
+    check()

@@ -4,17 +4,21 @@ import numpy as np
 import pytest
 
 from hnd.errors import InvalidRatios
-from hnd.model import ModelParams
+from hnd.model import ModelParams, forward, loss_and_gradients
 from hnd.synth import generate_sbm
 from hnd.train import (
+    DROPOUT_SEED_OFFSET,
+    PARAM_SEED_OFFSET,
     AdamState,
     TrainConfig,
+    accuracy,
     adam_step,
     depth_sweep,
     make_splits,
     noise_sweep,
     standardize_features,
     train_and_evaluate,
+    train_single_split,
 )
 
 
@@ -55,6 +59,15 @@ def test_make_splits_invalid_ratios():
         make_splits(10, (0.5, -0.25, 0.75), base_seed=0, k=1)
     with pytest.raises(InvalidRatios):
         make_splits(10, (0.5, 0.25, 0.25), base_seed=0, k=0)
+
+
+@pytest.mark.parametrize(
+    "n,ratios",
+    [(10, (0.5, 0.5, 0.0)), (10, (0.5, 0.0, 0.5)), (10, (0.0, 0.5, 0.5)), (3, (0.8, 0.1, 0.1))],
+)
+def test_make_splits_rejects_empty_sets(n, ratios):
+    with pytest.raises(InvalidRatios):
+        make_splits(n, ratios, base_seed=0, k=1)
 
 
 def test_adam_zero_gradients_noop():
@@ -141,7 +154,6 @@ def test_report_json_excludes_wall_times():
 
 def test_train_single_split_builds_one_workspace(monkeypatch):
     from hnd import operators
-    from hnd.train import make_splits, train_single_split
 
     builds = {"k": 0}
     init = operators.HypergraphOperators.__init__
@@ -155,6 +167,66 @@ def test_train_single_split_builds_one_workspace(monkeypatch):
     cfg = TrainConfig(hidden_dim=8, horizon=2.0, tau=1.0, epochs=3, split_count=1)
     train_single_split(ds, cfg, make_splits(ds.hypergraph.n, cfg.ratios, 0, 1)[0], 0)
     assert builds["k"] == 1
+
+
+def reference_split(ds, cfg, masks, split_index):
+    """One split trained with a full forward pass after every epoch's update."""
+    spec = cfg.solver_spec()
+    params = ModelParams.init(ds.features.shape[1], cfg.hidden_dim, ds.class_count,
+                              seed=cfg.base_seed + PARAM_SEED_OFFSET + split_index)
+    state = AdamState.init(params)
+    best = (-1.0, 0, params.to_vector())
+    losses, val_accs = [], []
+    for epoch in range(cfg.epochs):
+        loss, grads, _ = loss_and_gradients(
+            params, ds, masks.train, spec, cfg.variant, weight_decay=cfg.weight_decay,
+            input_dropout=cfg.input_dropout,
+            dropout_seed=cfg.base_seed + DROPOUT_SEED_OFFSET + 1000003 * split_index + epoch,
+            agg=cfg.agg,
+        )
+        params, state = adam_step(params, grads, state, lr=cfg.lr, betas=cfg.betas, eps=cfg.eps)
+        losses.append(loss)
+        logits = forward(params, ds, spec, cfg.variant, agg=cfg.agg)
+        val_accs.append(accuracy(logits, ds.labels, masks.val))
+        if val_accs[-1] > best[0]:
+            best = (val_accs[-1], epoch, params.to_vector())
+    logits = forward(params.from_vector(best[2]), ds, spec, cfg.variant, agg=cfg.agg)
+    return {"split": split_index, "val_accuracy": best[0], "best_epoch": best[1],
+            "test_accuracy": accuracy(logits, ds.labels, masks.test),
+            "train_losses": losses, "val_accuracies": val_accs}
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+@pytest.mark.parametrize("variant,agg", [("l", "mean"), ("nl", "max")])
+def test_train_single_split_matches_forward_every_epoch(dropout, variant, agg):
+    ds = standardize_features(small_sbm(alpha=2))
+    cfg = TrainConfig(hidden_dim=8, horizon=2.0, tau=1.0, epochs=12, split_count=2,
+                      variant=variant, agg=agg, input_dropout=dropout, weight_decay=0.01)
+    masks = make_splits(ds.hypergraph.n, cfg.ratios, cfg.base_seed, 2)
+    for i, m in enumerate(masks):
+        record = train_single_split(ds, cfg, m, i)
+        assert record == reference_split(ds, cfg, m, i)
+        accs = record["val_accuracies"]
+        assert len(accs) == cfg.epochs
+        assert record["best_epoch"] == accs.index(max(accs))
+
+
+@pytest.mark.parametrize("dropout,forwards", [(0.0, 1), (0.3, 6)])
+def test_train_single_split_forward_calls(monkeypatch, dropout, forwards):
+    from hnd import train
+
+    calls = {"k": 0}
+
+    def counted(*args, **kwargs):
+        calls["k"] += 1
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(train, "forward", counted)
+    ds = small_sbm()
+    cfg = TrainConfig(hidden_dim=8, horizon=2.0, tau=1.0, epochs=6, split_count=1,
+                      input_dropout=dropout)
+    train_single_split(ds, cfg, make_splits(ds.hypergraph.n, cfg.ratios, 0, 1)[0], 0)
+    assert calls["k"] == forwards
 
 
 def test_depth_sweep_includes_zero_anchor():
