@@ -25,6 +25,7 @@ from .hypergraph import (
     hypergraph_to_text,
     pair_index,
     parse_dataset,
+    parse_document,
     parse_hypergraph,
 )
 from .modulation import (

@@ -29,6 +29,7 @@ from .hypergraph import (
     Dataset,
     dataset_to_json,
     parse_dataset,
+    parse_document,
     parse_hypergraph,
 )
 from .modulation import AttentionParams, normalize_modulation, scores_forward, uniform_modulation
@@ -102,17 +103,13 @@ def _resolve(args, schema: dict) -> dict:
 
 def _load_dataset(path: str, resolved: dict) -> Dataset:
     with open(path) as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        obj = json.loads(stripped)
-        if "features" in obj and "labels" in obj:
-            return parse_dataset(text)
-    hg = parse_hypergraph(text)
+        doc = parse_document(fh.read())
+    if isinstance(doc, Dataset):
+        return doc
     rng = make_rng(int(resolved.get("seed", 0)))
-    feats = rng.standard_normal((hg.n, int(resolved.get("dim", 4))))
-    labels = np.zeros(hg.n, dtype=np.int64)
-    return Dataset(hypergraph=hg, features=feats, labels=labels, class_count=1)
+    feats = rng.standard_normal((doc.n, int(resolved.get("dim", 4))))
+    labels = np.zeros(doc.n, dtype=np.int64)
+    return Dataset(hypergraph=doc, features=feats, labels=labels, class_count=1)
 
 
 # ---------------------------------------------------------------- commands

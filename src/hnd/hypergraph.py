@@ -226,7 +226,26 @@ def _parse_text(document: str) -> Hypergraph:
 
 def parse_dataset(document: str) -> Dataset:
     """Parse a JSON dataset document (hypergraph + features + labels)."""
-    obj = _load_json_object(document)
+    return _dataset_from_json(_load_json_object(document))
+
+
+def parse_document(document: str) -> Dataset | Hypergraph:
+    """Parse a dataset document, or a hypergraph document in either format.
+
+    A JSON object with both ``features`` and ``labels`` is a dataset;
+    anything else is parsed as ``parse_hypergraph`` does. The JSON text
+    is parsed once either way.
+    """
+    stripped = document.lstrip()
+    if not stripped.startswith("{"):
+        return _parse_text(document)
+    obj = _load_json_object(stripped)
+    if "features" in obj and "labels" in obj:
+        return _dataset_from_json(obj)
+    return _hypergraph_from_json(obj)
+
+
+def _dataset_from_json(obj: dict) -> Dataset:
     hg = _hypergraph_from_json(obj)
     for key in ("features", "labels"):
         if key not in obj:

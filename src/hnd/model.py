@@ -217,7 +217,7 @@ def loss_and_gradients(params: ModelParams, dataset: Dataset, train_mask: np.nda
             a = a_frozen
         gx = ops.grad_scaled(x)
         grads_gx.append(gx)
-        x = x - tau * ops.grad_scaled_t(a[:, None] * gx)
+        x = x - tau * ops.grad_scaled_t(gx, a=a)
         states.append(x)
 
     logits = x @ params.w_out
@@ -250,8 +250,8 @@ def loss_and_gradients(params: ModelParams, dataset: Dataset, train_mask: np.nda
     for k in range(steps - 1, -1, -1):
         a = mod_caches[k][0] if variant == "nl" else a_frozen
         gd = ops.grad_scaled(dX)
-        da = -tau * (gd * grads_gx[k]).sum(axis=1)
-        dX = dX - tau * ops.grad_scaled_t(a[:, None] * gd)
+        da = -tau * np.einsum("ij,ij->i", gd, grads_gx[k])
+        dX = dX - tau * ops.grad_scaled_t(gd, a=a)
         if variant == "nl":
             ds = softmax_backward(a, ops, da)
             g_step, dX_mod = scores_backward(params.attention, ops, mod_caches[k][1], ds)

@@ -15,12 +15,13 @@ pair-to-edge-mean averager) satisfies G^T G = L, which puts the
 diffusion right-hand side in the symmetric form -G^T A G x. The raw
 operators relate to it by  grad = S^{-1/2} G  and  div(g) = G^T S^{1/2} g.
 
-``HypergraphOperators`` holds the precomputed index arrays and applies
-all operators matrix-free: edge sums reduce contiguous edge blocks, node
-sums scatter-add pairs with ``np.bincount``, both in a fixed order, so
-applications are deterministic. ``as_operators`` caches one workspace
-per hypergraph. ``SparseOperator`` provides the explicit coordinate-
-format matrices used by test oracles.
+``HypergraphOperators`` applies every operator matrix-free to signals
+viewed as (rows, d), summing in a fixed order: edge sums reduce contiguous
+edge blocks, node sums scatter-add pairs with ``np.bincount``. Each apply
+centers the pair array it allocates in place, not in a copy, and keeps
+no per-call state, so the workspace that ``as_operators`` caches per
+hypergraph gives deterministic results to any number of threads. ``SparseOperator`` holds
+the explicit coordinate-format matrices used by test oracles.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from .hypergraph import Degrees, Hypergraph, PairIndex, degrees, pair_index
 DENSE_LIMIT = 10**6
 
 
-def _per_row(v: np.ndarray, ndim: int) -> np.ndarray:
-    """Broadcast a per-row vector against a 1-D or (rows, d) signal."""
-    return v[:, None] if ndim == 2 else v
+def _rows(x: np.ndarray) -> np.ndarray:
+    """View a 1-D or (rows, d) signal as (rows, d)."""
+    return x.reshape(len(x), -1)
 
 
 def _flat_index(index: np.ndarray, width: int) -> np.ndarray:
@@ -82,7 +83,7 @@ class HypergraphOperators:
 
     def node_sum(self, pair_values: np.ndarray) -> np.ndarray:
         """Sum pair-aligned values over each node's incident pairs."""
-        cols = pair_values.reshape(self.N, -1)
+        cols = _rows(pair_values)
         width = cols.shape[1]
         index = self._node_index.get(width)
         if index is None:
@@ -90,48 +91,50 @@ class HypergraphOperators:
         sums = np.bincount(index, weights=cols.ravel(), minlength=self.n * width)
         return sums.reshape((self.n,) + pair_values.shape[1:])
 
-    # ---- raw operators ----
+    # ---- applies; 1-D signals in, 1-D out ----
 
     def grad(self, f: np.ndarray) -> np.ndarray:
         """Deviation of each member from its edge's normalized mean."""
-        gathered = np.take(f * _per_row(self.inv_sqrt_d, f.ndim), self.pair_node, axis=0)
-        mean = self.edge_sum(gathered)
-        mean *= _per_row(self.inv_size, f.ndim)
-        return gathered - np.take(mean, self.pair_edge, axis=0)
+        gathered = np.take(_rows(f) * self.inv_sqrt_d[:, None], self.pair_node, axis=0)
+        return self._center(gathered).reshape(-1, *f.shape[1:])
 
     def div(self, g: np.ndarray) -> np.ndarray:
         """Adjoint of grad: weighted net flux imbalance per node."""
-        return self._collect(g * _per_row(self.w_pair, g.ndim))
-
-    # ---- scaled operators (G and its transpose) ----
+        return self._collect(_rows(g) * self.w_pair[:, None]).reshape(-1, *g.shape[1:])
 
     def grad_scaled(self, f: np.ndarray) -> np.ndarray:
         """Apply G = S^{1/2} (B - C) Dv^{-1/2}."""
-        out = self.grad(f)
-        out *= _per_row(self.sqrt_w_pair, f.ndim)
-        return out
+        out = _rows(self.grad(f))
+        out *= self.sqrt_w_pair[:, None]
+        return out.reshape(-1, *f.shape[1:])
 
-    def grad_scaled_t(self, y: np.ndarray) -> np.ndarray:
-        """Apply G^T."""
-        return self._collect(y * _per_row(self.sqrt_w_pair, y.ndim))
-
-    def _collect(self, z: np.ndarray) -> np.ndarray:
-        """Dv^{-1/2} (B - C)^T z for pair-aligned z."""
-        edge_mean = self.edge_sum(z)
-        edge_mean *= _per_row(self.inv_size, z.ndim)
-        out = self.node_sum(z - np.take(edge_mean, self.pair_edge, axis=0))
-        out *= _per_row(self.inv_sqrt_d, z.ndim)
-        return out
+    def grad_scaled_t(self, y: np.ndarray, a: np.ndarray | None = None) -> np.ndarray:
+        """Apply G^T, or G^T diag(a) for a pair-aligned diagonal a."""
+        scale = self.sqrt_w_pair if a is None else self.sqrt_w_pair * a
+        return self._collect(_rows(y) * scale[:, None]).reshape(-1, *y.shape[1:])
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
         """Apply L = G^T G."""
         return self.grad_scaled_t(self.grad_scaled(f))
 
     def quad_apply(self, a: np.ndarray, f: np.ndarray) -> np.ndarray:
-        """Apply G^T diag(a) G for a positive pair-aligned diagonal a."""
-        y = self.grad_scaled(f)
-        y *= _per_row(a, f.ndim)
-        return self.grad_scaled_t(y)
+        """Apply G^T diag(a) G, rounding as grad_scaled_t(grad_scaled(f), a=a)."""
+        y = _rows(self.grad_scaled(f))
+        y *= (self.sqrt_w_pair * a)[:, None]
+        return self._collect(y).reshape(-1, *f.shape[1:])
+
+    def _collect(self, z: np.ndarray) -> np.ndarray:
+        """Dv^{-1/2} (B - C)^T z for an (N, d) z, which it overwrites."""
+        out = self.node_sum(self._center(z))
+        out *= self.inv_sqrt_d[:, None]
+        return out
+
+    def _center(self, z: np.ndarray) -> np.ndarray:
+        """Subtract each edge's mean from its rows of the (N, d) z, in place."""
+        mean = self.edge_sum(z)
+        mean *= self.inv_size[:, None]
+        z -= np.take(mean, self.pair_edge, axis=0)
+        return z
 
 
 def as_operators(hg) -> HypergraphOperators:
@@ -219,10 +222,10 @@ class SparseOperator:
         x = np.asarray(x, dtype=np.float64)
         if x.shape[0] != self.shape[1]:
             raise ShapeMismatch(f"operand rows {x.shape[0]} != cols {self.shape[1]}")
-        width = int(np.prod(x.shape[1:]))
-        contrib = self.val[:, None] * np.take(x.reshape(x.shape[0], width), self.col, axis=0)
-        out = np.bincount(_flat_index(self.row, width), weights=contrib.ravel(),
-                          minlength=self.shape[0] * width)
+        cols = _rows(x)
+        contrib = self.val[:, None] * np.take(cols, self.col, axis=0)
+        out = np.bincount(_flat_index(self.row, cols.shape[1]), weights=contrib.ravel(),
+                          minlength=self.shape[0] * cols.shape[1])
         return out.reshape((self.shape[0],) + x.shape[1:])
 
     def transpose(self) -> "SparseOperator":
@@ -239,8 +242,8 @@ class SparseOperator:
 
     def to_matrix_market(self) -> str:
         """MatrixMarket coordinate text (1-based indices)."""
-        lines = ["%%MatrixMarket matrix coordinate real general"]
-        lines.append(f"{self.shape[0]} {self.shape[1]} {self.val.size}")
+        lines = ["%%MatrixMarket matrix coordinate real general",
+                 f"{self.shape[0]} {self.shape[1]} {self.val.size}"]
         for r, c, v in zip(self.row, self.col, self.val):
             lines.append(f"{int(r) + 1} {int(c) + 1} {float(v)!r}")
         return "\n".join(lines) + "\n"

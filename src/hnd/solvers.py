@@ -159,24 +159,31 @@ def _cg_solve(ops, a, b, tau, x0, tol, max_iter):
     Returns (y, iterations, whether the residual norm met tol).
     """
     def matvec(v):
-        return v + tau * ops.quad_apply(a, v)
+        out = ops.quad_apply(a, v)
+        out *= tau
+        out += v
+        return out
+
+    def col_dot(u, v):
+        return np.einsum("i...,i...->...", u, v)
 
     x = x0.copy()
     r = b - matvec(x)
     p = r.copy()
-    rs = (r * r).sum(axis=0)
+    rs = col_dot(r, r)
     iters = 0
     while np.sqrt(rs.sum()) > tol:
         if iters == max_iter:
             return x, iters, False
         Ap = matvec(p)
-        den = (p * Ap).sum(axis=0)
+        den = col_dot(p, Ap)
         alpha = np.where(den > 0, rs / np.where(den > 0, den, 1.0), 0.0)
-        x = x + alpha * p
-        r = r - alpha * Ap
-        rs_new = (r * r).sum(axis=0)
+        x += alpha * p
+        r -= alpha * Ap
+        rs_new = col_dot(r, r)
         beta = np.where(rs > 0, rs_new / np.where(rs > 0, rs, 1.0), 0.0)
-        p = r + beta * p
+        p *= beta
+        p += r
         rs = rs_new
         iters += 1
     return x, iters, True

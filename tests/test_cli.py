@@ -1,8 +1,12 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hnd
 from hnd.cli import main
 
 H0_TEXT = "3 2\n1.0 2 0 1\n1.0 3 0 1 2\n"
@@ -111,6 +115,39 @@ def test_diffuse_rerun_byte_identical(h0_dataset_file, tmp_path):
         assert open(os.path.join(out1, name), "rb").read() == \
             open(os.path.join(out2, name), "rb").read()
 
+
+
+def test_diffuse_parses_dataset_json_once(h0_dataset_file, tmp_path, monkeypatch):
+    calls = []
+    real_loads = json.loads
+
+    def counting_loads(*args, **kwargs):
+        calls.append(args[0][:20])
+        return real_loads(*args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting_loads)
+    assert main(["diffuse", "--dataset", h0_dataset_file, "--steps", "2",
+                 "--out", str(tmp_path / "d")]) == 0
+    assert len(calls) == 1
+
+
+def test_diffuse_json_hypergraph_without_features(h0_file, tmp_path):
+    json_file = tmp_path / "h0.json"
+    json_file.write_text(json.dumps({"n": 3, "edges": [[0, 1], [0, 1, 2]],
+                                     "weights": [1.0, 1.0]}))
+    args = ["diffuse", "--steps", "3", "--dim", "2", "--seed", "5"]
+    out_text, out_json = str(tmp_path / "t"), str(tmp_path / "j")
+    assert main(args + ["--dataset", h0_file, "--out", out_text]) == 0
+    assert main(args + ["--dataset", str(json_file), "--out", out_json]) == 0
+    # both formats hold the same hypergraph, so the seeded features and
+    # every result agree; only the echoed config names another file
+    assert open(os.path.join(out_text, "trajectory.csv"), "rb").read() == \
+        open(os.path.join(out_json, "trajectory.csv"), "rb").read()
+    text_diag, json_diag = (json.loads(open(os.path.join(out, "diagnostics.json")).read())
+                            for out in (out_text, out_json))
+    assert text_diag.pop("config")["dataset"] == h0_file
+    assert json_diag.pop("config")["dataset"] == str(json_file)
+    assert text_diag == json_diag
 
 TRAIN_ARGS = ["--nodes-per-class", "25", "--edges", "30", "--edge-size", "4",
               "--alpha", "1", "--feature-dim", "3", "--epochs", "5",
@@ -266,3 +303,21 @@ def test_outputs_embed_version_and_config(tmp_path):
     import hnd
     assert body["library_version"] == hnd.__version__
     assert body["config"]["nodes_per_class"] == 25
+
+
+def test_train_and_diffuse_do_not_import_scipy_sparse(tmp_path, h0_dataset_file):
+    # importing scipy.sparse alone adds ~13 MB of peak RSS to a small train run
+    script = f"""
+import sys
+from hnd.cli import main
+assert main(["train", *{TRAIN_ARGS!r}, "--epochs", "2", "--out", {str(tmp_path / "t")!r}]) == 0
+assert main(["diffuse", "--dataset", {h0_dataset_file!r}, "--scheme", "implicit_euler",
+             "--modulation", "softmax", "--steps", "2", "--out", {str(tmp_path / "d")!r}]) == 0
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+assert "scipy.sparse" not in sys.modules
+"""
+    src = str(Path(hnd.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -22,6 +22,7 @@ from hnd.hypergraph import (
     hypergraph_to_text,
     pair_index,
     parse_dataset,
+    parse_document,
     parse_hypergraph,
 )
 
@@ -256,6 +257,46 @@ def test_parsers_raise_only_hnd_errors(doc):
         except HndError:
             pass
 
+
+
+def _outcome(parse, doc):
+    """What a parser makes of doc: a comparable value, or its error type."""
+    try:
+        out = parse(doc)
+    except HndError as exc:
+        return type(exc)
+    if isinstance(out, Dataset):
+        return (out.hypergraph, out.features.tobytes(), out.labels.tobytes(), out.class_count)
+    return out
+
+
+@given(documents)
+@settings(max_examples=300, deadline=None)
+def test_parse_document_agrees_with_the_parser_it_picks(doc):
+    # the loader's old rule: a JSON object holding features and labels is
+    # a dataset, anything else a hypergraph
+    try:
+        obj = json.loads(doc)
+    except (ValueError, RecursionError):
+        obj = None
+    is_dataset = (doc.lstrip().startswith("{") and isinstance(obj, dict)
+                  and "features" in obj and "labels" in obj)
+    expected = _outcome(parse_dataset if is_dataset else parse_hypergraph, doc)
+    assert _outcome(parse_document, doc) == expected
+
+
+def test_parse_document_formats():
+    hg = parse_hypergraph(H0_TEXT)
+    assert parse_document(H0_TEXT) == hg
+    assert parse_document(hypergraph_to_json(hg)) == hg
+    ds = parse_document(json.dumps(VALID_DATASET))
+    assert isinstance(ds, Dataset) and ds.hypergraph == hg and ds.class_count == 2
+    without_labels = {k: v for k, v in VALID_DATASET.items() if k != "labels"}
+    assert parse_document(json.dumps(without_labels)) == hg
+    with pytest.raises(MalformedDocument):
+        parse_document(json.dumps({**VALID_DATASET, "features": [[1.0], ["x"], [0.0]]}))
+    with pytest.raises(MalformedDocument):
+        parse_document("{\"n\": 3,")
 
 @st.composite
 def hypergraphs(draw):

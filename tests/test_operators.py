@@ -2,7 +2,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hnd.errors import ShapeMismatch, TooLarge
@@ -306,3 +306,70 @@ def test_sparse_apply_matches_scatter_loop():
         ref = np.zeros((G.shape[0],) + x.shape[1:])
         np.add.at(ref, G.row, (G.val[:, None] * x[G.col]) if x.ndim == 2 else G.val * x[G.col])
         assert np.array_equal(G.apply(x), ref)
+
+
+def _workspace_arrays(ops):
+    """Every array the workspace holds, directly or in its index records."""
+    found = {}
+    for name, value in vars(ops).items():
+        if isinstance(value, np.ndarray):
+            found[name] = value
+        elif isinstance(value, dict):
+            found.update({f"{name}[{k}]": v for k, v in value.items()})
+        elif hasattr(value, "__dict__"):
+            found.update({f"{name}.{k}": v for k, v in vars(value).items()
+                          if isinstance(v, np.ndarray)})
+    return found
+
+
+signal_widths = st.one_of(st.none(), st.integers(1, 5))
+
+
+@given(st.integers(0, 2**32), signal_widths, st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_applies_leave_inputs_and_workspace_unchanged(seed, width, strided):
+    ops = HypergraphOperators(random_hypergraph(seed))
+    rng = np.random.default_rng(seed)
+    tail = () if width is None else (width,)
+
+    def signal(rows):
+        if strided and width is not None:
+            return rng.standard_normal((rows, 2 * width))[:, ::2]
+        return rng.standard_normal((rows,) + tail)
+
+    f, g, a = signal(ops.n), signal(ops.N), rng.uniform(0.1, 2.0, ops.N)
+    inputs = {"f": f, "g": g, "a": a}
+    before = {k: v.tobytes() for k, v in inputs.items()}
+    workspace = {k: v.tobytes() for k, v in _workspace_arrays(ops).items()}
+    outputs = {
+        "grad": (ops.grad(f), ops.N), "div": (ops.div(g), ops.n),
+        "grad_scaled": (ops.grad_scaled(f), ops.N),
+        "grad_scaled_t": (ops.grad_scaled_t(g), ops.n),
+        "grad_scaled_t(a)": (ops.grad_scaled_t(g, a=a), ops.n),
+        "laplacian": (ops.laplacian(f), ops.n), "quad_apply": (ops.quad_apply(a, f), ops.n),
+    }
+    assert {k: v.tobytes() for k, v in inputs.items()} == before
+    after = _workspace_arrays(ops)
+    assert {k: after[k].tobytes() for k in workspace} == workspace
+    for name, (out, rows) in outputs.items():
+        assert out.shape == (rows,) + tail, name
+        assert not any(np.shares_memory(out, x) for x in (f, g, a, *after.values())), name
+
+
+@given(st.integers(0, 2**32), signal_widths)
+@settings(max_examples=30, deadline=None)
+def test_weighted_transpose_matches_dense_oracle(seed, width):
+    ops = HypergraphOperators(random_hypergraph(seed))
+    # a slip between sqrt(w) and w shows only where the weights are not 1
+    assume(np.ptp(ops.w_pair) > 0.1)
+    G = dense_oracle(scaled_gradient_matrix(ops))
+    rng = np.random.default_rng(seed)
+    tail = () if width is None else (width,)
+    f = rng.standard_normal((ops.n,) + tail)
+    y = rng.standard_normal((ops.N,) + tail)
+    a = rng.uniform(0.1, 2.0, ops.N)
+    A = np.diag(a)
+    assert np.abs(ops.grad_scaled_t(y, a=a) - G.T @ A @ y).max() <= 1e-12
+    assert np.abs(ops.quad_apply(a, f) - G.T @ A @ G @ f).max() <= 1e-12
+    # rounds exactly as the two-apply form the training step uses
+    assert ops.quad_apply(a, f).tobytes() == ops.grad_scaled_t(ops.grad_scaled(f), a=a).tobytes()
