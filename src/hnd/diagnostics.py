@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ShapeMismatch
 from .modulation import as_weight_vector
-from .operators import as_operators
+from .operators import _rows, as_operators
 from .rng import make_rng
 from .solvers import Trajectory
 
@@ -69,9 +69,8 @@ def energy(hg, a, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != ops.n:
         raise ShapeMismatch(f"state has {x.shape[0]} rows, hypergraph has {ops.n}")
-    gx = ops.grad_scaled(x)
-    vec = as_weight_vector(a)
-    weighted = gx * gx * (vec[:, None] if gx.ndim == 2 else vec)
+    gx = _rows(ops.grad_scaled(x))
+    weighted = gx * gx * as_weight_vector(a)[:, None]
     return 0.5 * float(weighted.sum())
 
 
@@ -106,13 +105,12 @@ def max_principle(hg, traj: Trajectory) -> BoundsReport:
     """Per-column range check of normalized values along a trajectory."""
     ops = as_operators(hg)
     inv = ops.inv_sqrt_d
-    first = np.atleast_2d(traj.states[0].T).T  # (n, d) view of 1- or 2-D state
-    y0 = first * inv[:, None]
+    y0 = _rows(traj.states[0]) * inv[:, None]
     lower = y0.min(axis=0)
     upper = y0.max(axis=0)
     worst = np.zeros(len(traj.states))
     for k, state in enumerate(traj.states):
-        y = np.atleast_2d(state.T).T * inv[:, None]
+        y = _rows(state) * inv[:, None]
         excess = np.maximum(y - upper, 0.0) + np.maximum(lower - y, 0.0)
         worst[k] = float(excess.max(initial=0.0))
     return BoundsReport(lower=lower, upper=upper, worst_violation=worst)

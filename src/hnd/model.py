@@ -10,6 +10,18 @@ Training differentiates through the complete pipeline, including the
 modulation path (aggregation, projection, scoring map, per-node
 softmax), by hand-written vector-Jacobian products. Only the explicit
 Euler scheme is trainable; the remaining schemes are inference-only.
+
+For ``l`` every Euler step applies the same symmetric map
+M = I - tau G^T A G, and the decoder makes the last state's adjoint
+dX_L = dlogits w_out^T. Since M is linear, dX_k = V_k w_out^T exactly,
+with V_L = dlogits and V_k = M V_{k+1}, so the backward pass carries the
+n x C factor V instead of the n x hidden dX: each step's modulation
+gradient is -tau rowsum(G V_{k+1} * G x_k w_out), pairing G V with the
+G x_k w_out the forward pass stores, and V maps back to hidden space
+once, before the modulation and encoder gradients. The adjoint's cost
+scales with the class count C, not the hidden width. ``nl`` adds a full
+rank modulation term to dX at every step, so its adjoint stays in
+hidden space.
 """
 
 from __future__ import annotations
@@ -199,8 +211,7 @@ def loss_and_gradients(params: ModelParams, dataset: Dataset, train_mask: np.nda
     x0 = X_in @ params.w_in
 
     # forward with caches
-    states = [x0]
-    grads_gx = []       # G x_k per step
+    pair_caches = []    # per step: G x_k for nl, G x_k w_out for l
     mod_caches = []     # per-step (a, score cache) for nl
     a_frozen = None
     frozen_cache = None
@@ -216,9 +227,8 @@ def loss_and_gradients(params: ModelParams, dataset: Dataset, train_mask: np.nda
         else:
             a = a_frozen
         gx = ops.grad_scaled(x)
-        grads_gx.append(gx)
+        pair_caches.append(gx if variant == "nl" else gx @ params.w_out)
         x = x - tau * ops.grad_scaled_t(gx, a=a)
-        states.append(x)
 
     logits = x @ params.w_out
 
@@ -242,24 +252,27 @@ def loss_and_gradients(params: ModelParams, dataset: Dataset, train_mask: np.nda
     dlogits[mask, labels[mask]] -= 1.0
     dlogits /= count
 
-    g_w_out = states[-1].T @ dlogits
-    dX = dlogits @ params.w_out.T
+    g_w_out = x.T @ dlogits
+    # Adjoint of the state: dX_k itself for nl; for l, the n x C factor V_k
+    # of dX_k = V_k w_out^T (see the module docstring).
+    adj = dlogits if variant == "l" else dlogits @ params.w_out.T
     g_att = params.attention.zeros_like()
     da_frozen = np.zeros(ops.N) if variant == "l" and steps > 0 else None
 
     for k in range(steps - 1, -1, -1):
         a = mod_caches[k][0] if variant == "nl" else a_frozen
-        gd = ops.grad_scaled(dX)
-        da = -tau * np.einsum("ij,ij->i", gd, grads_gx[k])
-        dX = dX - tau * ops.grad_scaled_t(gd, a=a)
+        gd = ops.grad_scaled(adj)
+        da = -tau * np.einsum("ij,ij->i", gd, pair_caches[k])
+        adj = adj - tau * ops.grad_scaled_t(gd, a=a)
         if variant == "nl":
             ds = softmax_backward(a, ops, da)
             g_step, dX_mod = scores_backward(params.attention, ops, mod_caches[k][1], ds)
             _accumulate(g_att, g_step)
-            dX = dX + dX_mod
+            adj = adj + dX_mod
         else:
             da_frozen += da
 
+    dX = adj @ params.w_out.T if variant == "l" else adj
     if variant == "l" and steps > 0:
         ds = softmax_backward(a_frozen, ops, da_frozen)
         g_step, dX_mod = scores_backward(params.attention, ops, frozen_cache, ds)

@@ -151,7 +151,7 @@ def as_operators(hg) -> HypergraphOperators:
 
 def _check_signal(f: np.ndarray, rows: int, kind: str) -> np.ndarray:
     f = np.asarray(f, dtype=np.float64)
-    if f.shape[0] != rows or f.ndim > 2:
+    if f.ndim not in (1, 2) or f.shape[0] != rows:
         raise ShapeMismatch(f"{kind} signal must be ({rows},) or ({rows}, d), got {f.shape}")
     return f
 

@@ -10,13 +10,19 @@ from hnd.hypergraph import Dataset, Hypergraph
 from hnd.model import (
     CHECKPOINT_MAGIC,
     ModelParams,
+    _dropout_mask,
     forward,
     load_checkpoint,
     loss_and_gradients,
     save_checkpoint,
 )
-from hnd.modulation import normalize_modulation, scores_forward
-from hnd.operators import HypergraphOperators
+from hnd.modulation import (
+    normalize_modulation,
+    scores_backward,
+    scores_forward,
+    softmax_backward,
+)
+from hnd.operators import HypergraphOperators, as_operators
 from hnd.rng import make_rng
 from hnd.solvers import SolverSpec, step_explicit_euler
 
@@ -159,6 +165,85 @@ def test_loss_pass_logits_equal_forward(variant, agg, steps):
     _, _, logits = loss_and_gradients(params, ds, mask, spec, variant,
                                       weight_decay=0.01, agg=agg)
     assert np.array_equal(logits, forward(params, ds, spec, variant, agg=agg))
+
+
+def _hidden_space_l_gradients(params, ds, mask, spec, weight_decay, input_dropout,
+                              dropout_seed, agg):
+    """Reference l gradient vector: the adjoint carried at the hidden width."""
+    ops = as_operators(ds.hypergraph)
+    X_in = ds.features
+    if input_dropout > 0.0:
+        X_in = X_in * _dropout_mask(X_in.shape, input_dropout, dropout_seed)
+    x = X_in @ params.w_in
+    s, cache = scores_forward(params.attention, x, ops, agg)
+    a = normalize_modulation(s, ops).values
+    gxs = []
+    for _ in range(spec.steps):
+        gxs.append(ops.grad_scaled(x))
+        x = x - spec.tau * ops.grad_scaled_t(gxs[-1], a=a)
+    logits = x @ params.w_out
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    probs[np.arange(ds.hypergraph.n), ds.labels] -= 1.0
+    dlogits = np.where(mask[:, None], probs, 0.0) / mask.sum()
+    dX = dlogits @ params.w_out.T
+    da = np.zeros(ops.N)
+    for k in range(spec.steps - 1, -1, -1):
+        gd = ops.grad_scaled(dX)
+        da -= spec.tau * np.einsum("ij,ij->i", gd, gxs[k])
+        dX = dX - spec.tau * ops.grad_scaled_t(gd, a=a)
+    g_att, dX_mod = scores_backward(params.attention, ops, cache, softmax_backward(a, ops, da))
+    grads = ModelParams(w_in=X_in.T @ (dX + dX_mod), attention=g_att, w_out=x.T @ dlogits)
+    return grads.to_vector() + weight_decay * params.to_vector()
+
+
+@pytest.mark.parametrize("steps", [0, 1, 5])
+@pytest.mark.parametrize("agg", ["mean", "max"])
+@pytest.mark.parametrize("weight_decay, input_dropout", [(0.0, 0.0), (0.013, 0.3)])
+def test_l_class_space_adjoint_matches_hidden_space(steps, agg, weight_decay, input_dropout):
+    ds, params, _, mask = small_instance(seed=17, hidden=6, classes=3)
+    spec = SolverSpec(scheme="explicit_euler", tau=0.8, steps=steps)
+    kwargs = dict(weight_decay=weight_decay, input_dropout=input_dropout,
+                  dropout_seed=4, agg=agg)
+    _, grads, _ = loss_and_gradients(params, ds, mask, spec, "l", **kwargs)
+    ref = _hidden_space_l_gradients(params, ds, mask, spec, **kwargs)
+    assert np.abs(grads.to_vector() - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("hidden", [1, 2])
+@pytest.mark.parametrize("agg", ["mean", "max"])
+def test_l_gradcheck_more_classes_than_hidden(hidden, agg):
+    ds, params, spec, mask = small_instance(seed=23, hidden=hidden, classes=3, steps=4)
+    _, grads, _ = loss_and_gradients(params, ds, mask, spec, "l", weight_decay=0.01, agg=agg)
+    gvec = grads.to_vector()
+    pvec = params.to_vector()
+    h = 1e-5
+    for i in range(pvec.size):
+        pp = pvec.copy(); pp[i] += h
+        pm = pvec.copy(); pm[i] -= h
+        lp, _, _ = loss_and_gradients(params.from_vector(pp), ds, mask, spec, "l",
+                                      weight_decay=0.01, agg=agg)
+        lm, _, _ = loss_and_gradients(params.from_vector(pm), ds, mask, spec, "l",
+                                      weight_decay=0.01, agg=agg)
+        fd = (lp - lm) / (2 * h)
+        assert abs(gvec[i] - fd) <= 1e-5 * max(abs(fd), 1e-8), i
+
+
+def test_l_adjoint_applies_run_on_class_columns(monkeypatch):
+    # forward steps apply G and G^T to hidden columns, the l adjoint to C columns
+    hidden, classes, steps = 6, 3, 4
+    ds, params, _, mask = small_instance(seed=5, hidden=hidden, classes=classes)
+    spec = SolverSpec(scheme="explicit_euler", tau=0.5, steps=steps)
+    ops = as_operators(ds.hypergraph)
+    seen = {"grad_scaled": [], "grad_scaled_t": []}
+    for name, log in seen.items():
+        def counted(y, *args, _apply=getattr(ops, name), _log=log, **kwargs):
+            _log.append(y.shape[1])
+            return _apply(y, *args, **kwargs)
+        monkeypatch.setattr(ops, name, counted)
+    loss_and_gradients(params, ds, mask, spec, "l")
+    for log in seen.values():
+        assert log == [hidden] * steps + [classes] * steps
 
 
 def test_gradients_deterministic():

@@ -127,6 +127,15 @@ def test_shape_mismatch_errors(h0_ops):
         divergence_apply(h0_ops, np.zeros(6))
 
 
+@pytest.mark.parametrize("apply, rows", [(gradient_apply, "n"), (divergence_apply, "N"),
+                                         (laplacian_apply, "n")])
+def test_scalar_and_3d_signals_raise_shape_mismatch(h0_ops, apply, rows):
+    size = getattr(h0_ops, rows)
+    for signal in (3.0, np.array(3.0), np.zeros((size, 2, 2))):
+        with pytest.raises(ShapeMismatch):
+            apply(h0_ops, signal)
+
+
 def test_sparse_identity_round_trip():
     eye = SparseOperator.from_dense(np.eye(3))
     assert np.array_equal(dense_oracle(eye), np.eye(3))
