@@ -32,12 +32,13 @@ from .hypergraph import (
     parse_document,
     parse_hypergraph,
 )
-from .modulation import AttentionParams, normalize_modulation, scores_forward, uniform_modulation
-from .operators import as_operators
+from .modulation import AttentionParams, softmax_modulation_fn, uniform_modulation
+from .operators import DENSE_LIMIT, as_operators
 from .rng import make_rng
 from .solvers import (
     AdaptiveSpec,
     SolverSpec,
+    _weights_fn,
     integrate,
     integrate_adaptive,
     trajectory_to_csv,
@@ -157,16 +158,13 @@ _DIFFUSE_SCHEMA = {
 }
 
 
-def _modulation_fn(cfg: dict, ops, dim: int):
-    """The configured modulation as a callable ``x -> weights``."""
+def _modulation(cfg: dict, ops, dim: int):
+    """The configured modulation: fixed uniform weights, or the softmax
+    as a callable ``x -> weights``."""
     if cfg["modulation"] == "uniform":
-        return lambda x: uniform_modulation(ops).values
+        return uniform_modulation(ops).values
     if cfg["modulation"] == "softmax":
-        params = AttentionParams.init(dim, int(cfg["seed"]))
-        def a_fn(x):
-            s, _ = scores_forward(params, x, ops)
-            return normalize_modulation(s, ops).values
-        return a_fn
+        return softmax_modulation_fn(AttentionParams.init(dim, int(cfg["seed"])), ops)
     raise ValueError(f"unknown modulation {cfg['modulation']!r}")
 
 
@@ -187,12 +185,12 @@ def _cmd_diffuse(args) -> int:
                               tau_max=max(tau, 10.0)),
     )
     x0 = ds.features
-    a_fn = _modulation_fn(cfg, ops, x0.shape[1])
-    traj = integrate(ops, a_fn, x0, spec)
-    frozen_a = a_fn(x0) if policy == "frozen" else a_fn
-    report = energy_monotonicity(ops, traj, frozen_a)
+    a = _modulation(cfg, ops, x0.shape[1])
+    traj = integrate(ops, a, x0, spec)
+    a0 = _weights_fn(a)(x0)
+    report = energy_monotonicity(ops, traj, a0 if policy == "frozen" else a)
     bounds = max_principle(ops, traj)
-    lam, converged = spectral_radius(ops, a_fn(x0))
+    lam, converged = spectral_radius(ops, a0)
 
     out = _out_dir(args)
     _write_file(os.path.join(out, "trajectory.csv"),
@@ -358,7 +356,7 @@ def _cmd_bench_solver(args) -> int:
 
     def run_adaptive(tol):
         spec = AdaptiveSpec(tol=tol, tau_init=min(taus), tau_max=horizon)
-        traj = integrate_adaptive(ops, a, x0, horizon, spec, policy="frozen")
+        traj = integrate_adaptive(ops, a, x0, horizon, spec)
         return {
             "tol": tol,
             "final_error": float(np.linalg.norm(traj.states[-1] - ref)),
@@ -396,7 +394,7 @@ def _cmd_spectrum(args) -> int:
         raise ValueError("spectrum requires a dataset path")
     ds = _load_dataset(cfg["dataset"], cfg)
     ops = as_operators(ds.hypergraph)
-    a = _modulation_fn(cfg, ops, ds.features.shape[1])(ds.features)
+    a = _weights_fn(_modulation(cfg, ops, ds.features.shape[1]))(ds.features)
     lam, converged = spectral_radius(ops, a, iters=int(cfg["iters"]), tol=float(cfg["tol"]))
     body = {
         "library_version": __version__,
@@ -405,7 +403,7 @@ def _cmd_spectrum(args) -> int:
         "spectral_radius": lam,
         "converged": converged,
     }
-    if ops.n <= 1000:
+    if ops.N * ops.n <= DENSE_LIMIT:
         from .operators import dense_oracle, scaled_gradient_matrix
 
         G = dense_oracle(scaled_gradient_matrix(ops))

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatch
-from .modulation import as_weight_vector
 from .operators import _rows, as_operators
 from .rng import make_rng
-from .solvers import Trajectory
+from .solvers import Trajectory, _weights_fn
 
 
 @dataclass
@@ -70,20 +69,20 @@ def energy(hg, a, x: np.ndarray) -> float:
     if x.shape[0] != ops.n:
         raise ShapeMismatch(f"state has {x.shape[0]} rows, hypergraph has {ops.n}")
     gx = _rows(ops.grad_scaled(x))
-    weighted = gx * gx * as_weight_vector(a)[:, None]
+    weighted = gx * gx * _weights_fn(a)(x)[:, None]
     return 0.5 * float(weighted.sum())
 
 
 def energy_monotonicity(hg, traj: Trajectory, a, rel_tol: float = 1e-10) -> EnergyReport:
     """Energy at every trajectory state, flagging relative increases.
 
-    ``a`` is a fixed weight vector or a callable ``x -> weights``; the
-    callable form measures each state with its own modulation (the
+    ``a`` is fixed weights or a callable ``x -> weights``; the callable
+    form measures each state with its own modulation (the
     recompute-each-step convention).
     """
     ops = as_operators(hg)
-    a_fn = a if callable(a) else (lambda x: a)
-    vals = np.array([energy(ops, as_weight_vector(a_fn(s)), s) for s in traj.states])
+    a_fn = _weights_fn(a)
+    vals = np.array([energy(ops, a_fn(s), s) for s in traj.states])
     first = None
     worst = 0.0
     for k in range(1, len(vals)):
@@ -120,11 +119,12 @@ def spectral_radius(hg, a, iters: int = 200, tol: float = 1e-10,
                     seed: int = 0) -> tuple[float, bool]:
     """Power-iteration estimate of the largest eigenvalue of G^T diag(a) G.
 
-    The operator is positive semi-definite, so the dominant eigenvalue
-    equals the spectral radius. Returns (estimate, converged).
+    ``a`` is fixed weights. The operator is positive semi-definite, so
+    the dominant eigenvalue equals the spectral radius. Returns
+    (estimate, converged).
     """
     ops = as_operators(hg)
-    vec = as_weight_vector(a)
+    vec = _weights_fn(a)(None)
     if iters < 1:
         raise ValueError("iters must be >= 1")
     v = make_rng(seed).standard_normal(ops.n)

@@ -39,8 +39,9 @@ from .modulation import (
     scores_backward,
     scores_forward,
     softmax_backward,
+    softmax_modulation_fn,
 )
-from .operators import HypergraphOperators, as_operators
+from .operators import as_operators
 from .rng import make_rng
 from .solvers import SolverSpec, integrate
 
@@ -147,13 +148,6 @@ def _dropout_mask(shape, rate: float, seed: int) -> np.ndarray:
     return keep / (1.0 - rate)
 
 
-def _attention_weights_fn(params: ModelParams, ops: HypergraphOperators, agg: str):
-    def fn(x):
-        s, _ = scores_forward(params.attention, x, ops, agg)
-        return normalize_modulation(s, ops).values
-    return fn
-
-
 def forward(params: ModelParams, dataset: Dataset, spec: SolverSpec, variant: str,
             train_mode: bool = False, input_dropout: float = 0.0,
             dropout_seed: int = 0, agg: str = "mean") -> np.ndarray:
@@ -176,7 +170,7 @@ def forward(params: ModelParams, dataset: Dataset, spec: SolverSpec, variant: st
     x0 = X_in @ params.w_in
     if spec.steps == 0:
         return x0 @ params.w_out
-    a_fn = _attention_weights_fn(params, ops, agg)
+    a_fn = softmax_modulation_fn(params.attention, ops, agg)
     policy = "frozen" if variant == "l" else "recompute_each_step"
     traj = integrate(ops, a_fn, x0, replace(spec, modulation_policy=policy))
     return traj.states[-1] @ params.w_out

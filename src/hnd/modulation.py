@@ -45,11 +45,6 @@ class ModulationWeights:
         return ops.node_sum(self.values)
 
 
-def as_weight_vector(a) -> np.ndarray:
-    """Accept ModulationWeights or a raw positive vector."""
-    return a.values if isinstance(a, ModulationWeights) else np.asarray(a, dtype=np.float64)
-
-
 @dataclass
 class AttentionParams:
     """Parameters of the per-pair scoring map.
@@ -206,6 +201,15 @@ def normalize_modulation(s: np.ndarray, hg) -> ModulationWeights:
     ex = np.exp(np.maximum(s - shift[ops.pair_node], -700.0))
     sums = ops.node_sum(ex)
     return ModulationWeights(values=ex / sums[ops.pair_node])
+
+
+def softmax_modulation_fn(params: AttentionParams, hg, agg: str = "mean"):
+    """The per-node softmax of the pair scores at ``x``, as a callable."""
+    ops = as_operators(hg)
+    def fn(x):
+        s, _ = scores_forward(params, x, ops, agg)
+        return normalize_modulation(s, ops).values
+    return fn
 
 
 def softmax_backward(a: np.ndarray, ops: HypergraphOperators, da: np.ndarray) -> np.ndarray:

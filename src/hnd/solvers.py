@@ -4,11 +4,12 @@ Schemes: explicit and implicit Euler, classical RK4, fourth-order
 Adams-Bashforth and Adams-Moulton (predictor-corrector), and an
 embedded Bogacki-Shampine 3(2) pair with proportional step control.
 
-The modulation argument everywhere is either a fixed weight vector (or
-ModulationWeights) or a callable ``x -> weights``; the ``frozen``
-policy evaluates the callable once at the initial state, while
-``recompute_each_step`` re-evaluates it at every right-hand-side
-evaluation, including Runge-Kutta intermediate stages.
+The modulation argument everywhere is a weight vector, a
+ModulationWeights, or a callable ``x -> weights`` returning either.
+Only ``integrate`` applies ``SolverSpec.modulation_policy``: ``frozen``
+evaluates a callable once at the initial state, ``recompute_each_step``
+at every right-hand-side evaluation, including Runge-Kutta stages,
+which is what every other function here does with a callable.
 
 The implicit Euler step runs an outer fixed-point loop on the
 modulation combined with an inner conjugate-gradient solve of the
@@ -19,18 +20,26 @@ reciprocal spectral radius, the SPD solve does not.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NoConvergence, StepUnderflow, TooFewSteps
-from .modulation import as_weight_vector
-from .operators import as_operators
+from .modulation import ModulationWeights
+from .operators import _rows, as_operators
 
 SCHEMES = ("explicit_euler", "implicit_euler", "rk4", "ab4", "am4", "adaptive")
 
 AB4_COEFFICIENTS = (55.0 / 24.0, -59.0 / 24.0, 37.0 / 24.0, -9.0 / 24.0)
 AM4_COEFFICIENTS = (9.0 / 24.0, 19.0 / 24.0, -5.0 / 24.0, 1.0 / 24.0)
+
+
+def _require_positive(**fields) -> None:
+    """Raise ValueError naming the first field that is not finite and positive."""
+    for name, value in fields.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass
@@ -63,12 +72,9 @@ class SolverSpec:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.modulation_policy not in ("frozen", "recompute_each_step"):
             raise ValueError(f"unknown modulation policy {self.modulation_policy!r}")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        _require_positive(tau=self.tau, fp_tol=self.fp_tol)
         if self.steps < 0:
             raise ValueError("steps must be non-negative")
-        if self.fp_tol <= 0:
-            raise ValueError("fp_tol must be positive")
         a = self.adaptive
         if not (0 < a.fac_min <= 1 <= a.fac_max):
             raise ValueError("need 0 < fac_min <= 1 <= fac_max")
@@ -94,24 +100,24 @@ class Trajectory:
     rejected: int = 0
 
 
-def _as_fn(a):
+def _weights_fn(a):
+    """Any accepted modulation ``a`` as a callable ``x -> weight vector``."""
     if callable(a):
-        return a
-    vec = as_weight_vector(a)
+        return lambda x: _weights_fn(a(x))(x)
+    vec = a.values if isinstance(a, ModulationWeights) else np.asarray(a, dtype=np.float64)
     return lambda x: vec
 
 
 def rhs(hg, a, x: np.ndarray) -> np.ndarray:
     """Diffusion right-hand side -G^T diag(a) G x."""
     ops = as_operators(hg)
-    return -ops.quad_apply(as_weight_vector(a), np.asarray(x, dtype=np.float64))
+    return -ops.quad_apply(_weights_fn(a)(x), np.asarray(x, dtype=np.float64))
 
 
 def step_explicit_euler(hg, a, x: np.ndarray, tau: float) -> np.ndarray:
     """One forward-Euler update with the modulation evaluated at x."""
     ops = as_operators(hg)
-    a_fn = _as_fn(a)
-    return x - tau * ops.quad_apply(a_fn(x), x)
+    return x - tau * ops.quad_apply(_weights_fn(a)(x), x)
 
 
 def step_implicit_euler(hg, a, x: np.ndarray, tau: float,
@@ -127,7 +133,7 @@ def step_implicit_euler(hg, a, x: np.ndarray, tau: float,
     residual included, plus one residual per fixed-point iteration.
     """
     ops = as_operators(hg)
-    a_fn = _as_fn(a)
+    a_fn = _weights_fn(a)
     x = np.asarray(x, dtype=np.float64)
     if tau == 0.0:
         return x.copy()
@@ -192,7 +198,7 @@ def _cg_solve(ops, a, b, tau, x0, tol, max_iter):
 def step_rk4(hg, a, x: np.ndarray, tau: float) -> np.ndarray:
     """Classical four-stage fourth-order update on the diffusion flow."""
     ops = as_operators(hg)
-    a_fn = _as_fn(a)
+    a_fn = _weights_fn(a)
 
     def g(v):
         return -ops.quad_apply(a_fn(v), v)
@@ -204,23 +210,13 @@ def step_rk4(hg, a, x: np.ndarray, tau: float) -> np.ndarray:
     return x + (tau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _apply_policy(a, policy, x0):
-    raw = _as_fn(a)
-    def a_fn(x):
-        return as_weight_vector(raw(x))
-    if policy == "frozen":
-        vec = np.array(a_fn(np.asarray(x0, dtype=np.float64)), copy=True)
-        return lambda x: vec
-    return a_fn
-
-
 def integrate_multistep(hg, a, x0: np.ndarray, tau: float, steps: int,
-                        scheme: str = "ab4",
-                        policy: str = "frozen") -> Trajectory:
+                        scheme: str = "ab4") -> Trajectory:
     """Fourth-order Adams integration with RK4 startup.
 
     ``ab4`` is the explicit Adams-Bashforth rule; ``am4`` runs it as a
-    predictor followed by one Adams-Moulton correction.
+    predictor followed by one Adams-Moulton correction. A callable ``a``
+    is evaluated at every right-hand-side evaluation.
     """
     if steps < 4:
         raise TooFewSteps(f"multistep schemes need >= 4 steps, got {steps}")
@@ -228,7 +224,7 @@ def integrate_multistep(hg, a, x0: np.ndarray, tau: float, steps: int,
         raise ValueError(f"unknown multistep scheme {scheme!r}")
     ops = as_operators(hg)
     x = np.asarray(x0, dtype=np.float64)
-    a_fn = _apply_policy(a, policy, x)
+    a_fn = _weights_fn(a)
 
     traj = Trajectory(times=[0.0], states=[x.copy()], step_sizes=[])
     def g(v):
@@ -269,8 +265,7 @@ _BS_B2 = (7.0 / 24.0, 1.0 / 4.0, 1.0 / 3.0, 1.0 / 8.0)
 
 
 def integrate_adaptive(hg, a, x0: np.ndarray, horizon_T: float,
-                       adaptive: AdaptiveSpec | None = None,
-                       policy: str = "frozen") -> Trajectory:
+                       adaptive: AdaptiveSpec | None = None) -> Trajectory:
     """Embedded 3(2) pair with proportional step-size control.
 
     Per step the error estimate is the norm of the difference between
@@ -278,16 +273,16 @@ def integrate_adaptive(hg, a, x0: np.ndarray, horizon_T: float,
     exceed ``tol``. The next step is
     tau * min(max(fac_min, (tol/error)^{1/(p+1)}), fac_max) clamped to
     [tau_min, tau_max], and the final step is shortened to land exactly
-    on the horizon.
+    on the horizon. A callable ``a`` is evaluated at every
+    right-hand-side evaluation, rejected stages included.
     """
     spec = adaptive or AdaptiveSpec()
-    if horizon_T <= 0:
-        raise ValueError("horizon must be positive")
-    if spec.tol <= 0:
-        raise ValueError("tol must be positive")
+    # a NaN or zero here would reject every step without ever underflowing
+    _require_positive(horizon=horizon_T, tol=spec.tol, tau_init=spec.tau_init,
+                      tau_min=spec.tau_min, tau_max=spec.tau_max)
     ops = as_operators(hg)
     x = np.asarray(x0, dtype=np.float64)
-    a_fn = _apply_policy(a, policy, x)
+    a_fn = _weights_fn(a)
 
     traj = Trajectory(times=[0.0], states=[x.copy()], step_sizes=[])
     def g(v):
@@ -331,14 +326,14 @@ def integrate(hg, a, x0: np.ndarray, spec: SolverSpec) -> Trajectory:
     """Run the scheme selected by ``spec`` and record the trajectory."""
     ops = as_operators(hg)
     x = np.asarray(x0, dtype=np.float64)
-    a_fn = _apply_policy(a, spec.modulation_policy, x)
+    a_fn = _weights_fn(a)
+    if spec.modulation_policy == "frozen":
+        a_fn = _weights_fn(a_fn(x).copy())
 
     if spec.scheme in ("ab4", "am4"):
-        return integrate_multistep(ops, a_fn, x, spec.tau, spec.steps, spec.scheme,
-                                   policy="recompute_each_step")
+        return integrate_multistep(ops, a_fn, x, spec.tau, spec.steps, spec.scheme)
     if spec.scheme == "adaptive":
-        return integrate_adaptive(ops, a_fn, x, spec.horizon, spec.adaptive,
-                                  policy="recompute_each_step")
+        return integrate_adaptive(ops, a_fn, x, spec.horizon, spec.adaptive)
 
     traj = Trajectory(times=[0.0], states=[x.copy()], step_sizes=[])
     for k in range(spec.steps):
@@ -373,9 +368,7 @@ def trajectory_states_to_binary(traj: Trajectory) -> bytes:
     """Full-state dump: magic, n, d, state count, then row-major float64."""
     import struct
 
-    first = np.atleast_2d(traj.states[0])
-    n, d = first.shape
+    n, d = _rows(traj.states[0]).shape
     header = b"HNDTRAJ1" + struct.pack("<IIQ", n, d, len(traj.states))
-    body = b"".join(np.ascontiguousarray(np.atleast_2d(s), dtype="<f8").tobytes()
-                    for s in traj.states)
+    body = b"".join(np.ascontiguousarray(s, dtype="<f8").tobytes() for s in traj.states)
     return header + body

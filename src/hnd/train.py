@@ -18,6 +18,7 @@ its JSON body to keep output files reproducible.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -147,6 +148,11 @@ class TrainConfig:
             raise ValueError(f"variant must be 'l' or 'nl', got {self.variant!r}")
         if not 0.0 <= self.input_dropout < 1.0:
             raise ValueError("input_dropout must lie in [0, 1)")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and positive, got {self.lr!r}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(
+                f"weight_decay must be finite and non-negative, got {self.weight_decay!r}")
 
     @property
     def steps(self) -> int:

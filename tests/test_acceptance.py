@@ -6,6 +6,7 @@ Each test prints a single PASS line; run with ``pytest -s`` to see them.
 import json
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg import expm
@@ -366,7 +367,7 @@ def test_criterion_11_cli_determinism(tmp_path):
         assert main(args + ["--out", out1]) == 0, name
         assert main(args + ["--out", out2]) == 0, name
         for fname in files:
-            b1 = open(os.path.join(out1, fname), "rb").read()
-            b2 = open(os.path.join(out2, fname), "rb").read()
+            b1 = Path(os.path.join(out1, fname)).read_bytes()
+            b2 = Path(os.path.join(out2, fname)).read_bytes()
             assert b1 == b2, (name, fname)
     print("ACCEPTANCE 11 PASS: byte-identical reruns for all commands")

@@ -52,7 +52,7 @@ def test_sbm_writes_dataset(tmp_path):
     code = main(["sbm", "--nodes-per-class", "20", "--edges", "25", "--edge-size", "4",
                  "--alpha", "1", "--feature-dim", "3", "--seed", "7", "--out", out])
     assert code == 0
-    obj = json.loads(open(os.path.join(out, "dataset.json")).read())
+    obj = json.loads(Path(os.path.join(out, "dataset.json")).read_text())
     assert obj["n"] == 40 and len(obj["edges"]) == 25
 
 
@@ -62,8 +62,8 @@ def test_sbm_rerun_byte_identical(tmp_path):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     assert main(args + ["--out", out1]) == 0
     assert main(args + ["--out", out2]) == 0
-    b1 = open(os.path.join(out1, "dataset.json"), "rb").read()
-    b2 = open(os.path.join(out2, "dataset.json"), "rb").read()
+    b1 = Path(os.path.join(out1, "dataset.json")).read_bytes()
+    b2 = Path(os.path.join(out2, "dataset.json")).read_bytes()
     assert b1 == b2
 
 
@@ -72,11 +72,11 @@ def test_diffuse_monotone_energy(h0_dataset_file, tmp_path):
     code = main(["diffuse", "--dataset", h0_dataset_file, "--scheme", "explicit_euler",
                  "--tau", "1", "--steps", "5", "--modulation", "uniform", "--out", out])
     assert code == 0
-    csv = open(os.path.join(out, "trajectory.csv")).read().strip().splitlines()
+    csv = Path(os.path.join(out, "trajectory.csv")).read_text().strip().splitlines()
     assert csv[0] == "step,time,tau,state_norm,energy"
     energies = [float(line.split(",")[4]) for line in csv[1:]]
     assert all(b <= a + 1e-12 for a, b in zip(energies, energies[1:]))
-    diag = json.loads(open(os.path.join(out, "diagnostics.json")).read())
+    diag = json.loads(Path(os.path.join(out, "diagnostics.json")).read_text())
     assert diag["energy_monotone"] is True
     assert diag["max_principle_violation"] <= 1e-9
 
@@ -86,7 +86,7 @@ def test_diffuse_implicit_large_tau(h0_dataset_file, tmp_path):
     code = main(["diffuse", "--dataset", h0_dataset_file, "--scheme", "implicit_euler",
                  "--tau", "10", "--steps", "5", "--modulation", "softmax", "--out", out])
     assert code == 0
-    csv = open(os.path.join(out, "trajectory.csv")).read().strip().splitlines()
+    csv = Path(os.path.join(out, "trajectory.csv")).read_text().strip().splitlines()
     norms = [float(line.split(",")[3]) for line in csv[1:]]
     assert all(b <= a * (1 + 1e-9) for a, b in zip(norms, norms[1:]))
 
@@ -112,8 +112,8 @@ def test_diffuse_rerun_byte_identical(h0_dataset_file, tmp_path):
     assert main(args + ["--out", out1, "--dump-states"]) == 0
     assert main(args + ["--out", out2, "--dump-states"]) == 0
     for name in ("trajectory.csv", "diagnostics.json", "states.bin"):
-        assert open(os.path.join(out1, name), "rb").read() == \
-            open(os.path.join(out2, name), "rb").read()
+        assert Path(os.path.join(out1, name)).read_bytes() == \
+            Path(os.path.join(out2, name)).read_bytes()
 
 
 
@@ -141,9 +141,9 @@ def test_diffuse_json_hypergraph_without_features(h0_file, tmp_path):
     assert main(args + ["--dataset", str(json_file), "--out", out_json]) == 0
     # both formats hold the same hypergraph, so the seeded features and
     # every result agree; only the echoed config names another file
-    assert open(os.path.join(out_text, "trajectory.csv"), "rb").read() == \
-        open(os.path.join(out_json, "trajectory.csv"), "rb").read()
-    text_diag, json_diag = (json.loads(open(os.path.join(out, "diagnostics.json")).read())
+    assert Path(os.path.join(out_text, "trajectory.csv")).read_bytes() == \
+        Path(os.path.join(out_json, "trajectory.csv")).read_bytes()
+    text_diag, json_diag = (json.loads(Path(os.path.join(out, "diagnostics.json")).read_text())
                             for out in (out_text, out_json))
     assert text_diag.pop("config")["dataset"] == h0_file
     assert json_diag.pop("config")["dataset"] == str(json_file)
@@ -157,27 +157,27 @@ TRAIN_ARGS = ["--nodes-per-class", "25", "--edges", "30", "--edge-size", "4",
 def test_train_writes_metrics(tmp_path):
     out = str(tmp_path / "t")
     assert main(["train"] + TRAIN_ARGS + ["--out", out]) == 0
-    body = json.loads(open(os.path.join(out, "metrics.json")).read())
+    body = json.loads(Path(os.path.join(out, "metrics.json")).read_text())
     assert body["command"] == "train"
     assert 0.0 <= body["report"]["mean_test_accuracy"] <= 1.0
     assert body["config"]["epochs"] == 5
     assert os.path.exists(os.path.join(out, "timing.json"))
-    assert "wall" not in open(os.path.join(out, "metrics.json")).read()
+    assert "wall" not in Path(os.path.join(out, "metrics.json")).read_text()
 
 
 def test_train_rerun_byte_identical(tmp_path):
     out1, out2 = str(tmp_path / "t1"), str(tmp_path / "t2")
     assert main(["train"] + TRAIN_ARGS + ["--out", out1]) == 0
     assert main(["train"] + TRAIN_ARGS + ["--out", out2]) == 0
-    assert open(os.path.join(out1, "metrics.json"), "rb").read() == \
-        open(os.path.join(out2, "metrics.json"), "rb").read()
+    assert Path(os.path.join(out1, "metrics.json")).read_bytes() == \
+        Path(os.path.join(out2, "metrics.json")).read_bytes()
 
 
 def test_train_depth_sweep(tmp_path):
     out = str(tmp_path / "ds")
     assert main(["train"] + TRAIN_ARGS + ["--layers", "0,2", "--splits", "1",
                                           "--out", out]) == 0
-    body = json.loads(open(os.path.join(out, "metrics.json")).read())
+    body = json.loads(Path(os.path.join(out, "metrics.json")).read_text())
     assert body["command"] == "depth_sweep"
     assert [p["layers"] for p in body["points"]] == [0, 2]
 
@@ -190,7 +190,7 @@ def test_train_depth_sweep_threads_byte_identical(tmp_path, monkeypatch):
         monkeypatch.setenv("HND_THREADS", threads)
         out = str(tmp_path / f"threads{threads}")
         assert main(args + ["--out", out]) == 0
-        bodies.append(open(os.path.join(out, "metrics.json"), "rb").read())
+        bodies.append(Path(os.path.join(out, "metrics.json")).read_bytes())
     assert bodies[0] == bodies[1]
 
 
@@ -231,7 +231,7 @@ def test_train_noise_sweep(tmp_path):
     out = str(tmp_path / "ns")
     assert main(["train"] + TRAIN_ARGS + ["--noise", "mask", "--rates", "0.0,0.5",
                                           "--splits", "1", "--out", out]) == 0
-    body = json.loads(open(os.path.join(out, "metrics.json")).read())
+    body = json.loads(Path(os.path.join(out, "metrics.json")).read_text())
     assert body["command"] == "noise_sweep"
     assert [p["rate"] for p in body["points"]] == [0.0, 0.5]
 
@@ -240,7 +240,7 @@ def test_bench_noise_command(tmp_path):
     out = str(tmp_path / "bn")
     assert main(["bench-noise"] + TRAIN_ARGS + ["--rates", "0.1", "--splits", "1",
                                                 "--out", out]) == 0
-    body = json.loads(open(os.path.join(out, "metrics.json")).read())
+    body = json.loads(Path(os.path.join(out, "metrics.json")).read_text())
     assert body["command"] == "noise_sweep"
     assert body["noise"] == "structure"
 
@@ -248,7 +248,7 @@ def test_bench_noise_command(tmp_path):
 def test_bench_solver_slopes(tmp_path):
     out = str(tmp_path / "b")
     assert main(["bench-solver", "--out", out]) == 0
-    body = json.loads(open(os.path.join(out, "bench.json")).read())
+    body = json.loads(Path(os.path.join(out, "bench.json")).read_text())
     rows = {r["scheme"]: r for r in body["fixed_step"]}
     assert rows["rk4"]["slope"] >= 3.8
     assert abs(rows["explicit_euler"]["slope"] - 1.0) <= 0.2
@@ -262,14 +262,14 @@ def test_bench_solver_rerun_byte_identical(tmp_path):
     out1, out2 = str(tmp_path / "b1"), str(tmp_path / "b2")
     assert main(["bench-solver", "--out", out1]) == 0
     assert main(["bench-solver", "--out", out2]) == 0
-    assert open(os.path.join(out1, "bench.json"), "rb").read() == \
-        open(os.path.join(out2, "bench.json"), "rb").read()
+    assert Path(os.path.join(out1, "bench.json")).read_bytes() == \
+        Path(os.path.join(out2, "bench.json")).read_bytes()
 
 
 def test_spectrum_command(tmp_path, h0_file):
     out = str(tmp_path / "sp")
     assert main(["spectrum", "--dataset", h0_file, "--out", out]) == 0
-    body = json.loads(open(os.path.join(out, "spectrum.json")).read())
+    body = json.loads(Path(os.path.join(out, "spectrum.json")).read_text())
     assert abs(body["spectral_radius"] - body["dense_max_eigenvalue"]) <= 1e-8
 
 
@@ -279,14 +279,14 @@ def test_config_file_and_flag_precedence(tmp_path):
                                "alpha": 1, "feature_dim": 3, "seed": 1}))
     out = str(tmp_path / "o")
     assert main(["sbm", "--config", str(cfg), "--seed", "9", "--out", out]) == 0
-    obj = json.loads(open(os.path.join(out, "dataset.json")).read())
+    obj = json.loads(Path(os.path.join(out, "dataset.json")).read_text())
     assert obj["n"] == 40  # from the file
     # the flag wins over the file: same output as seed 9 directly
     out2 = str(tmp_path / "o2")
     assert main(["sbm", "--nodes-per-class", "20", "--edges", "25", "--edge-size", "4",
                  "--alpha", "1", "--feature-dim", "3", "--seed", "9", "--out", out2]) == 0
-    assert open(os.path.join(out, "dataset.json")).read() == \
-        open(os.path.join(out2, "dataset.json")).read()
+    assert Path(os.path.join(out, "dataset.json")).read_text() == \
+        Path(os.path.join(out2, "dataset.json")).read_text()
 
 
 def test_config_unknown_key_rejected(tmp_path, capsys):
@@ -299,7 +299,7 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
 def test_outputs_embed_version_and_config(tmp_path):
     out = str(tmp_path / "t")
     assert main(["train"] + TRAIN_ARGS + ["--out", out]) == 0
-    body = json.loads(open(os.path.join(out, "metrics.json")).read())
+    body = json.loads(Path(os.path.join(out, "metrics.json")).read_text())
     import hnd
     assert body["library_version"] == hnd.__version__
     assert body["config"]["nodes_per_class"] == 25
@@ -321,3 +321,39 @@ assert "scipy.sparse" not in sys.modules
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_spectrum_leaves_out_dense_fields_when_dense_g_is_too_large(tmp_path):
+    data = str(tmp_path / "data")
+    assert main(["sbm", "--edges", "200", "--out", data]) == 0  # N * n = 3000 * 500
+    out = str(tmp_path / "sp")
+    assert main(["spectrum", "--dataset", os.path.join(data, "dataset.json"), "--out", out]) == 0
+    body = json.loads(Path(os.path.join(out, "spectrum.json")).read_text())
+    assert 0.0 < body["spectral_radius"] <= 2.0
+    assert "dense_min_eigenvalue" not in body and "dense_max_eigenvalue" not in body
+
+
+def test_degenerate_solver_and_training_flags_exit_2(tmp_path, h0_dataset_file):
+    # `--tol nan` once hung the adaptive scheme, so the commands run in a
+    # child process that a timeout can stop
+    cases = [
+        (["diffuse", "--dataset", h0_dataset_file, "--tau", "nan"], "tau"),
+        (["diffuse", "--dataset", h0_dataset_file, "--scheme", "adaptive", "--tol", "nan"], "tol"),
+        (["train", *TRAIN_ARGS, "--lr", "nan"], "lr"),
+        (["train", *TRAIN_ARGS, "--weight-decay", "nan"], "weight_decay"),
+    ]
+    script = f"""
+import contextlib, io
+from hnd.cli import main
+for argv, field in {cases!r}:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([*argv, "--out", {str(tmp_path / "o")!r}])
+    assert code == 2 and f"ValueError: {{field}} must be finite" in err.getvalue(), (argv, code, err.getvalue())
+"""
+    src = str(Path(hnd.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert not os.path.exists(str(tmp_path / "o"))

@@ -190,3 +190,17 @@ def test_spectral_radius_requires_iters(h0_ops):
     a = uniform_modulation(h0_ops).values
     with pytest.raises(ValueError):
         spectral_radius(h0_ops, a, iters=0)
+
+
+def test_diagnostics_accept_every_modulation_form():
+    ops = HypergraphOperators(random_hypergraph(77))
+    rng = make_rng(77)
+    weights = normalize_modulation(rng.standard_normal(ops.N), ops)
+    x0 = rng.standard_normal((ops.n, 2))
+    traj = integrate(ops, weights, x0, SolverSpec(scheme="explicit_euler", tau=0.5, steps=4))
+    forms = [weights.values, weights, lambda x: weights.values, lambda x: weights]
+    energies = [energy(ops, a, x0) for a in forms]
+    assert all(e == energies[0] for e in energies)
+    reports = [energy_monotonicity(ops, traj, a) for a in forms]
+    assert all(r.to_json() == reports[0].to_json() for r in reports)
+    assert spectral_radius(ops, weights) == spectral_radius(ops, weights.values)

@@ -1,15 +1,28 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import hnd
 from hnd.errors import NoConvergence, StepUnderflow, TooFewSteps
-from hnd.modulation import normalize_modulation, uniform_modulation
+from hnd.modulation import (
+    AttentionParams,
+    normalize_modulation,
+    softmax_modulation_fn,
+    uniform_modulation,
+)
 from hnd.operators import HypergraphOperators, dense_oracle, scaled_gradient_matrix
 from hnd.solvers import (
     AB4_COEFFICIENTS,
     AM4_COEFFICIENTS,
+    SCHEMES,
     AdaptiveSpec,
     SolverSpec,
+    Trajectory,
     integrate,
     integrate_adaptive,
     integrate_multistep,
@@ -376,3 +389,111 @@ def test_solver_spec_validation():
         SolverSpec(tau=-1.0)
     with pytest.raises(ValueError):
         SolverSpec(fp_tol=0.0)
+
+
+def test_trajectory_binary_dump_1d_state_header():
+    import struct
+
+    state = np.arange(5.0)
+    blob = trajectory_states_to_binary(Trajectory(times=[0.0], states=[state], step_sizes=[]))
+    assert struct.unpack_from("<IIQ", blob, 8) == (5, 1, 1)
+    assert np.array_equal(np.frombuffer(blob, dtype="<f8", offset=24), state)
+
+
+class _Counting:
+    """Softmax modulation that counts its evaluations."""
+
+    def __init__(self, ops, d):
+        self.fn = softmax_modulation_fn(AttentionParams.init(d, 3), ops)
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.fn(x)
+
+
+def _policy_case():
+    ops = HypergraphOperators(random_hypergraph(41, n_max=16, m_max=10, size_max=5))
+    x0 = np.random.default_rng(41).standard_normal((ops.n, 3))
+    return ops, x0
+
+
+def _spec(scheme, policy):
+    return SolverSpec(scheme=scheme, tau=0.2, steps=5, modulation_policy=policy,
+                      adaptive=AdaptiveSpec(tol=1e-4, tau_init=0.2))
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_frozen_policy_evaluates_callable_once(scheme):
+    ops, x0 = _policy_case()
+    a = _Counting(ops, x0.shape[1])
+    traj = integrate(ops, a, x0, _spec(scheme, "frozen"))
+    assert a.calls == 1
+    ref = integrate(ops, a.fn(x0), x0, _spec(scheme, "frozen"))
+    assert len(traj.states) == len(ref.states)
+    assert all(np.array_equal(s, r) for s, r in zip(traj.states, ref.states))
+
+
+@pytest.mark.parametrize("scheme", ["explicit_euler", "rk4", "ab4", "am4", "adaptive"])
+def test_recompute_policy_evaluates_callable_per_rhs_eval(scheme):
+    ops, x0 = _policy_case()
+    a = _Counting(ops, x0.shape[1])
+    traj = integrate(ops, a, x0, _spec(scheme, "recompute_each_step"))
+    assert traj.rhs_evals > 0
+    assert a.calls == traj.rhs_evals
+
+
+@pytest.mark.parametrize("scheme", ["ab4", "am4", "adaptive"])
+def test_direct_calls_evaluate_callable_per_rhs_eval(scheme):
+    ops, x0 = _policy_case()
+    spec = _spec(scheme, "recompute_each_step")
+    a = _Counting(ops, x0.shape[1])
+    if scheme == "adaptive":
+        direct = integrate_adaptive(ops, a, x0, spec.horizon, spec.adaptive)
+    else:
+        direct = integrate_multistep(ops, a, x0, spec.tau, spec.steps, scheme)
+    assert a.calls == direct.rhs_evals
+    ref = integrate(ops, a.fn, x0, spec)
+    assert len(direct.states) == len(ref.states)
+    assert all(np.array_equal(s, r) for s, r in zip(direct.states, ref.states))
+
+
+def test_solver_spec_rejects_non_finite_settings():
+    for kwargs, field in (({"tau": float("nan")}, "tau"), ({"tau": float("inf")}, "tau"),
+                          ({"fp_tol": float("nan")}, "fp_tol")):
+        with pytest.raises(ValueError, match=f"^{field} must be finite and positive"):
+            SolverSpec(**kwargs)
+
+
+def test_degenerate_adaptive_settings_raise_instead_of_hanging():
+    # each case once rejected every step without reaching StepUnderflow,
+    # so it runs in a child process that a timeout can stop
+    script = """
+import numpy as np
+from hnd.hypergraph import Hypergraph
+from hnd.modulation import uniform_modulation
+from hnd.solvers import AdaptiveSpec, integrate_adaptive
+
+hg = Hypergraph(n=3, edges=((0, 1), (0, 1, 2)), weights=(1.0, 1.0))
+a, x = uniform_modulation(hg), np.array([1.0, 0.0, 0.0])
+nan = float("nan")
+for horizon, kwargs, field in [
+    (1.0, dict(tol=nan), "tol"),
+    (1.0, dict(tau_init=nan), "tau_init"),
+    (1.0, dict(tol=1e-300, tau_min=0.0), "tau_min"),
+    (1.0, dict(tol=1e-300, tau_min=nan), "tau_min"),
+    (1.0, dict(tau_max=nan), "tau_max"),
+    (float("inf"), {}, "horizon"),
+]:
+    try:
+        integrate_adaptive(hg, a, x, horizon, AdaptiveSpec(**kwargs))
+    except ValueError as exc:
+        assert str(exc).startswith(field + " must be finite and positive"), exc
+    else:
+        raise AssertionError(f"{kwargs} accepted")
+"""
+    src = str(Path(hnd.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -282,3 +282,12 @@ def test_train_config_validation():
         TrainConfig(variant="x")
     with pytest.raises(ValueError):
         TrainConfig(input_dropout=1.0)
+
+
+def test_train_config_rejects_degenerate_optimizer_settings():
+    nan = float("nan")
+    for kwargs, field in (({"lr": nan}, "lr"), ({"lr": 0.0}, "lr"), ({"lr": float("inf")}, "lr"),
+                          ({"weight_decay": nan}, "weight_decay"),
+                          ({"weight_decay": -1.0}, "weight_decay")):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            TrainConfig(**kwargs)
