@@ -38,8 +38,6 @@ from .modulation import (
 )
 from .operators import (
     HypergraphOperators,
-    SparseOperator,
-    dense_oracle,
     divergence_apply,
     gradient_apply,
     laplacian_apply,
@@ -58,13 +56,7 @@ from .solvers import (
     step_implicit_euler,
     step_rk4,
 )
-from .model import (
-    ModelParams,
-    forward,
-    load_checkpoint,
-    loss_and_gradients,
-    save_checkpoint,
-)
+from .model import ModelParams, forward, loss_and_gradients
 from .synth import generate_sbm, perturb_features, perturb_structure
 from .train import (
     AdamState,

@@ -33,7 +33,7 @@ from .hypergraph import (
     parse_hypergraph,
 )
 from .modulation import AttentionParams, softmax_modulation_fn, uniform_modulation
-from .operators import DENSE_LIMIT, as_operators
+from .operators import DENSE_LIMIT, as_operators, scaled_gradient_matrix
 from .rng import make_rng
 from .solvers import (
     AdaptiveSpec,
@@ -320,9 +320,7 @@ def _bench_case(seed: int, dim: int):
 def _expm_reference(ops, a, x0, horizon):
     from scipy.linalg import expm
 
-    from .operators import dense_oracle, scaled_gradient_matrix
-
-    G = dense_oracle(scaled_gradient_matrix(ops))
+    G = scaled_gradient_matrix(ops)
     M = G.T @ (a[:, None] * G)
     return expm(-horizon * M) @ x0
 
@@ -404,9 +402,7 @@ def _cmd_spectrum(args) -> int:
         "converged": converged,
     }
     if ops.N * ops.n <= DENSE_LIMIT:
-        from .operators import dense_oracle, scaled_gradient_matrix
-
-        G = dense_oracle(scaled_gradient_matrix(ops))
+        G = scaled_gradient_matrix(ops)
         eigs = np.linalg.eigvalsh(G.T @ (a[:, None] * G))
         body["dense_min_eigenvalue"] = float(eigs[0])
         body["dense_max_eigenvalue"] = float(eigs[-1])

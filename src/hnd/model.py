@@ -26,12 +26,11 @@ hidden space.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import MalformedDocument, ShapeMismatch, UnsupportedSchemeForTraining
+from .errors import ShapeMismatch, UnsupportedSchemeForTraining
 from .hypergraph import Dataset
 from .modulation import (
     AttentionParams,
@@ -44,8 +43,6 @@ from .modulation import (
 from .operators import as_operators
 from .rng import make_rng
 from .solvers import SolverSpec, integrate
-
-CHECKPOINT_MAGIC = b"HNDCKPT1"
 
 
 @dataclass
@@ -97,49 +94,6 @@ class ModelParams:
             attention=self.attention.zeros_like(),
             w_out=np.zeros_like(self.w_out),
         )
-
-
-def save_checkpoint(params: ModelParams, path: str) -> None:
-    """Versioned binary: magic, shape header, row-major float64 blocks."""
-    d_in, hidden = params.w_in.shape
-    n_classes = params.w_out.shape[1]
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<IIII", 1, d_in, hidden, n_classes))
-        fh.write(struct.pack("<d", params.attention.leaky_slope))
-        for t in params._tensors():
-            fh.write(np.ascontiguousarray(t, dtype="<f8").tobytes())
-
-
-def load_checkpoint(path: str) -> ModelParams:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:8] != CHECKPOINT_MAGIC or len(data) < 32:
-        raise MalformedDocument("not a model checkpoint, or its header is truncated")
-    version, d_in, hidden, n_classes = struct.unpack_from("<IIII", data, 8)
-    if version != 1:
-        raise MalformedDocument(f"unsupported checkpoint version {version}")
-    # w_in, projection + hidden_w, hidden_b + out_w, out_b, w_out
-    count = d_in * hidden + 3 * hidden * hidden + 2 * hidden + 1 + hidden * n_classes
-    if len(data) != 32 + 8 * count:
-        raise MalformedDocument(
-            f"checkpoint holds {len(data)} bytes, its header promises {32 + 8 * count}"
-        )
-    (slope,) = struct.unpack_from("<d", data, 24)
-    template = ModelParams(
-        w_in=np.zeros((d_in, hidden)),
-        attention=AttentionParams(
-            projection=np.zeros((hidden, hidden)),
-            hidden_w=np.zeros((hidden, 2 * hidden)),
-            hidden_b=np.zeros(hidden),
-            out_w=np.zeros(hidden),
-            out_b=np.zeros(1),
-            leaky_slope=slope,
-        ),
-        w_out=np.zeros((hidden, n_classes)),
-    )
-    vec = np.frombuffer(data, dtype="<f8", count=count, offset=32)
-    return template.from_vector(np.array(vec))
 
 
 def _dropout_mask(shape, rate: float, seed: int) -> np.ndarray:

@@ -20,13 +20,15 @@ viewed as (rows, d), summing in a fixed order: edge sums reduce contiguous
 edge blocks, node sums scatter-add pairs with ``np.bincount``. Each apply
 centers the pair array it allocates in place, not in a copy, and keeps
 no per-call state, so the workspace that ``as_operators`` caches per
-hypergraph gives deterministic results to any number of threads. ``SparseOperator`` holds
-the explicit coordinate-format matrices used by test oracles.
+hypergraph gives deterministic results to any number of threads.
+
+``scaled_gradient_matrix`` and ``laplacian_matrix`` build G and L as dense
+arrays from their closed forms. They serve only as oracles (tests, the
+``expm`` reference of ``hnd bench-solver``, the dense eigenvalues of
+``hnd spectrum``), and each refuses more than ``DENSE_LIMIT`` entries.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -174,84 +176,11 @@ def laplacian_apply(hg, f: np.ndarray) -> np.ndarray:
     return ops.laplacian(_check_signal(f, ops.n, "node"))
 
 
-@dataclass(frozen=True)
-class SparseOperator:
-    """Coordinate-format sparse matrix with canonical entry order.
-
-    Entries are sorted by (row, col), duplicate coordinates summed, and
-    explicit zeros dropped, so equal operators have identical storage.
-    """
-
-    shape: tuple[int, int]
-    row: np.ndarray
-    col: np.ndarray
-    val: np.ndarray
-
-    @classmethod
-    def from_triples(cls, shape, row, col, val) -> "SparseOperator":
-        row = np.asarray(row, dtype=np.int64)
-        col = np.asarray(col, dtype=np.int64)
-        val = np.asarray(val, dtype=np.float64)
-        if row.size and (row.min() < 0 or row.max() >= shape[0]):
-            raise ShapeMismatch("row index out of range")
-        if col.size and (col.min() < 0 or col.max() >= shape[1]):
-            raise ShapeMismatch("col index out of range")
-        key = row * shape[1] + col
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        val = val[order]
-        uniq, starts = np.unique(key, return_index=True)
-        summed = np.add.reduceat(val, starts) if val.size else val
-        keep = summed != 0.0
-        uniq, summed = uniq[keep], summed[keep]
-        return cls(
-            shape=(int(shape[0]), int(shape[1])),
-            row=(uniq // shape[1]).astype(np.int64),
-            col=(uniq % shape[1]).astype(np.int64),
-            val=summed,
-        )
-
-    @classmethod
-    def from_dense(cls, mat: np.ndarray) -> "SparseOperator":
-        mat = np.asarray(mat, dtype=np.float64)
-        r, c = np.nonzero(mat)
-        return cls.from_triples(mat.shape, r, c, mat[r, c])
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Product with a vector or matrix, scattering entries in storage order."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape[0] != self.shape[1]:
-            raise ShapeMismatch(f"operand rows {x.shape[0]} != cols {self.shape[1]}")
-        cols = _rows(x)
-        contrib = self.val[:, None] * np.take(cols, self.col, axis=0)
-        out = np.bincount(_flat_index(self.row, cols.shape[1]), weights=contrib.ravel(),
-                          minlength=self.shape[0] * cols.shape[1])
-        return out.reshape((self.shape[0],) + x.shape[1:])
-
-    def transpose(self) -> "SparseOperator":
-        return SparseOperator.from_triples(
-            (self.shape[1], self.shape[0]), self.col, self.row, self.val
-        )
-
-    def to_dense(self) -> np.ndarray:
-        if self.shape[0] * self.shape[1] > DENSE_LIMIT:
-            raise TooLarge(f"dense form would hold {self.shape[0] * self.shape[1]} entries")
-        out = np.zeros(self.shape)
-        out[self.row, self.col] = self.val
-        return out
-
-    def to_matrix_market(self) -> str:
-        """MatrixMarket coordinate text (1-based indices)."""
-        lines = ["%%MatrixMarket matrix coordinate real general",
-                 f"{self.shape[0]} {self.shape[1]} {self.val.size}"]
-        for r, c, v in zip(self.row, self.col, self.val):
-            lines.append(f"{int(r) + 1} {int(c) + 1} {float(v)!r}")
-        return "\n".join(lines) + "\n"
-
-
-def dense_oracle(op: SparseOperator) -> np.ndarray:
-    """Exact dense materialization for small test oracles."""
-    return op.to_dense()
+def _zeros(rows: int, cols: int) -> np.ndarray:
+    """A zero rows x cols oracle, refused beyond DENSE_LIMIT entries."""
+    if rows * cols > DENSE_LIMIT:
+        raise TooLarge(f"dense form would hold {rows * cols} entries")
+    return np.zeros((rows, cols))
 
 
 def _edge_blocks(ops: HypergraphOperators) -> tuple[np.ndarray, np.ndarray]:
@@ -263,24 +192,27 @@ def _edge_blocks(ops: HypergraphOperators) -> tuple[np.ndarray, np.ndarray]:
     return p, q
 
 
-def scaled_gradient_matrix(hg) -> SparseOperator:
-    """Explicit N x n matrix of G = S^{1/2} (B - C) Dv^{-1/2}."""
+def scaled_gradient_matrix(hg) -> np.ndarray:
+    """Dense N x n matrix of G = S^{1/2} (B - C) Dv^{-1/2}."""
     ops = as_operators(hg)
+    G = _zeros(ops.N, ops.n)
     p, q = _edge_blocks(ops)
     u = ops.pair_node[q]
     sw = ops.sqrt_w_pair[p]
     vals = -sw / (ops.deg.edge_size[ops.pair_edge[p]] * ops.sqrt_d[u])
     diag = p == q
     vals[diag] += sw[diag] / ops.sqrt_d[u[diag]]
-    return SparseOperator.from_triples((ops.N, ops.n), p, u, vals)
+    np.add.at(G, (p, u), vals)
+    return G
 
 
-def laplacian_matrix(hg) -> SparseOperator:
-    """Closed-form Laplacian I - Dv^{-1/2} H We De^{-1} H^T Dv^{-1/2}."""
+def laplacian_matrix(hg) -> np.ndarray:
+    """Dense closed-form Laplacian I - Dv^{-1/2} H We De^{-1} H^T Dv^{-1/2}."""
     ops = as_operators(hg)
+    L = _zeros(ops.n, ops.n)
     p, q = _edge_blocks(ops)
     v, u = ops.pair_node[p], ops.pair_node[q]
     vals = -(ops.w_edge / ops.deg.edge_size)[ops.pair_edge[p]] / (ops.sqrt_d[v] * ops.sqrt_d[u])
-    eye = np.arange(ops.n)
-    return SparseOperator.from_triples((ops.n, ops.n), np.r_[v, eye], np.r_[u, eye],
-                                       np.r_[vals, np.ones(ops.n)])
+    np.add.at(L, (v, u), vals)
+    L[np.diag_indices(ops.n)] += 1.0
+    return L

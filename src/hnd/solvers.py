@@ -52,7 +52,6 @@ class AdaptiveSpec:
     tau_init: float = 0.1
     tau_min: float = 1e-10
     tau_max: float = 10.0
-    order_p: int = 3
 
 
 @dataclass
@@ -259,9 +258,11 @@ def integrate_multistep(hg, a, x0: np.ndarray, tau: float, steps: int,
     return traj
 
 
-# Bogacki-Shampine 3(2) tableau
+# Bogacki-Shampine 3(2) tableau, and the step controller's exponent
+# 1/(order + 1) for its third-order solution
 _BS_B3 = (2.0 / 9.0, 1.0 / 3.0, 4.0 / 9.0, 0.0)
 _BS_B2 = (7.0 / 24.0, 1.0 / 4.0, 1.0 / 3.0, 1.0 / 8.0)
+_BS_EXPONENT = 1.0 / 4.0
 
 
 def integrate_adaptive(hg, a, x0: np.ndarray, horizon_T: float,
@@ -271,10 +272,11 @@ def integrate_adaptive(hg, a, x0: np.ndarray, horizon_T: float,
     Per step the error estimate is the norm of the difference between
     the third- and second-order solutions; accepted when it does not
     exceed ``tol``. The next step is
-    tau * min(max(fac_min, (tol/error)^{1/(p+1)}), fac_max) clamped to
+    tau * min(max(fac_min, (tol/error)^{1/4}), fac_max) clamped to
     [tau_min, tau_max], and the final step is shortened to land exactly
-    on the horizon. A callable ``a`` is evaluated at every
-    right-hand-side evaluation, rejected stages included.
+    on the horizon. A callable ``a`` is evaluated at every right-hand-side
+    evaluation, rejected stages included. A non-finite error estimate
+    raises StepUnderflow, as no step size can make it acceptable.
     """
     spec = adaptive or AdaptiveSpec()
     # a NaN or zero here would reject every step without ever underflowing
@@ -291,7 +293,6 @@ def integrate_adaptive(hg, a, x0: np.ndarray, horizon_T: float,
 
     t = 0.0
     tau_ctrl = min(spec.tau_init, horizon_T)
-    expo = 1.0 / (spec.order_p + 1.0)
     while t < horizon_T * (1.0 - 1e-14):
         tau = min(tau_ctrl, horizon_T - t)
         k1 = g(x)
@@ -301,6 +302,8 @@ def integrate_adaptive(hg, a, x0: np.ndarray, horizon_T: float,
         k4 = g(x3)
         x2 = x + tau * (_BS_B2[0] * k1 + _BS_B2[1] * k2 + _BS_B2[2] * k3 + _BS_B2[3] * k4)
         error = float(np.linalg.norm(x3 - x2))
+        if not math.isfinite(error):
+            raise StepUnderflow(f"non-finite error estimate {error} at t={t!r}, tau={tau!r}")
 
         if error <= spec.tol:
             t += tau
@@ -312,7 +315,7 @@ def integrate_adaptive(hg, a, x0: np.ndarray, horizon_T: float,
         else:
             traj.rejected += 1
 
-        factor = (spec.tol / error) ** expo if error > 0 else spec.fac_max
+        factor = (spec.tol / error) ** _BS_EXPONENT if error > 0 else spec.fac_max
         candidate = tau * min(max(spec.fac_min, factor), spec.fac_max)
         if error > spec.tol and candidate < spec.tau_min:
             raise StepUnderflow(

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -294,9 +294,7 @@ def depth_sweep(dataset: Dataset, config: TrainConfig, layer_counts,
                 max_workers: int = 1) -> list:
     """train_and_evaluate at each depth L with horizon L * tau, fixed splits."""
     def point(layers):
-        cfg_kwargs = asdict(config)
-        cfg_kwargs["horizon"] = layers * config.tau
-        cfg = TrainConfig(**_retuple(cfg_kwargs))
+        cfg = replace(config, horizon=layers * config.tau)
         return {"layers": int(layers), "report": train_and_evaluate(dataset, cfg)}
 
     return run_points(point, list(layer_counts), max_workers)
@@ -336,9 +334,3 @@ def _perturb_structure_retry(dataset: Dataset, rate: float, seed: int, retries: 
     raise ResultingIsolatedNode(
         f"no isolated-node-free perturbation found in {retries} seeds"
     )
-
-
-def _retuple(cfg: dict) -> dict:
-    cfg["ratios"] = tuple(cfg["ratios"])
-    cfg["betas"] = tuple(cfg["betas"])
-    return cfg

@@ -22,7 +22,6 @@ from hnd.modulation import (
 )
 from hnd.operators import (
     HypergraphOperators,
-    dense_oracle,
     laplacian_matrix,
     scaled_gradient_matrix,
 )
@@ -66,8 +65,8 @@ def test_criterion_1_operator_identities():
         rhs_ip = float((f * ops.div(g)).sum())
         assert abs(lhs - rhs_ip) <= 1e-10 * (1.0 + abs(rhs_ip))
 
-        G = dense_oracle(scaled_gradient_matrix(ops))
-        L = dense_oracle(laplacian_matrix(ops))
+        G = scaled_gradient_matrix(ops)
+        L = laplacian_matrix(ops)
         assert np.abs(G.T @ G - L).max() <= 1e-12
         assert np.abs(L - L.T).max() <= 1e-12
         eigs = np.linalg.eigvalsh(L)
@@ -175,7 +174,7 @@ def test_criterion_6_stability():
     h0 = Hypergraph(n=3, edges=((0, 1), (0, 1, 2)), weights=(1.0, 1.0))
     ops = HypergraphOperators(h0)
     a_witness = 1.9 * np.ones(ops.N)
-    G = dense_oracle(scaled_gradient_matrix(ops))
+    G = scaled_gradient_matrix(ops)
     lam = np.linalg.eigvalsh(G.T @ (a_witness[:, None] * G)).max()
     assert lam >= 1.9 - 1e-9
     x = make_rng(60_000).standard_normal((3, 2))
@@ -210,7 +209,7 @@ def test_criterion_7_integrator_orders():
     ops = HypergraphOperators(random_hypergraph(5, n_max=14, m_max=10, size_max=5))
     a = uniform_modulation(ops).values
     x0 = make_rng(80_000).standard_normal((ops.n, 3))
-    G = dense_oracle(scaled_gradient_matrix(ops))
+    G = scaled_gradient_matrix(ops)
     M = G.T @ (a[:, None] * G)
     horizon = 2.0
     ref = expm(-horizon * M) @ x0

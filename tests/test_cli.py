@@ -357,3 +357,17 @@ for argv, field in {cases!r}:
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert not os.path.exists(str(tmp_path / "o"))
+
+
+SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
+def test_script_help_runs(script):
+    # --help imports every name a script uses from hnd, and runs nothing else
+    src = str(Path(hnd.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, str(script), "--help"], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.startswith("usage:")

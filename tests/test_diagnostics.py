@@ -11,7 +11,7 @@ from hnd.diagnostics import (
 )
 from hnd.hypergraph import Hypergraph
 from hnd.modulation import AttentionParams, normalize_modulation, scores_forward, uniform_modulation
-from hnd.operators import HypergraphOperators, dense_oracle, scaled_gradient_matrix
+from hnd.operators import HypergraphOperators, scaled_gradient_matrix
 from hnd.rng import make_rng
 from hnd.solvers import SolverSpec, Trajectory, integrate, rhs, step_implicit_euler
 
@@ -50,7 +50,7 @@ def test_energy_degree_two_homogeneous(h0_ops):
 def test_energy_matches_dense(h0_ops):
     a = uniform_modulation(h0_ops).values
     x = np.array([1.0, 0.0, 0.0])
-    G = dense_oracle(scaled_gradient_matrix(h0_ops))
+    G = scaled_gradient_matrix(h0_ops)
     expected = 0.5 * (G @ x) @ (a * (G @ x))
     assert abs(energy(h0_ops, a, x) - expected) <= 1e-14
 
@@ -155,7 +155,7 @@ def test_bounds_report_json(h0_ops):
 def test_spectral_radius_h0_matches_dense(h0_ops):
     a = uniform_modulation(h0_ops).values
     lam, converged = spectral_radius(h0_ops, a, iters=1000, tol=1e-12)
-    G = dense_oracle(scaled_gradient_matrix(h0_ops))
+    G = scaled_gradient_matrix(h0_ops)
     dense = np.linalg.eigvalsh(G.T @ (a[:, None] * G)).max()
     assert converged
     assert abs(lam - dense) <= 1e-8

@@ -1,21 +1,9 @@
-import struct
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from hnd.errors import HndError, ShapeMismatch, UnsupportedSchemeForTraining
+from hnd.errors import ShapeMismatch, UnsupportedSchemeForTraining
 from hnd.hypergraph import Dataset, Hypergraph
-from hnd.model import (
-    CHECKPOINT_MAGIC,
-    ModelParams,
-    _dropout_mask,
-    forward,
-    load_checkpoint,
-    loss_and_gradients,
-    save_checkpoint,
-)
+from hnd.model import ModelParams, _dropout_mask, forward, loss_and_gradients
 from hnd.modulation import (
     normalize_modulation,
     scores_backward,
@@ -283,42 +271,6 @@ def test_permutation_equivariance():
     assert np.allclose(logits_p[perm], logits, rtol=1e-10, atol=1e-12)
 
 
-def test_checkpoint_round_trip(tmp_path):
-    _, params, _, _ = small_instance(seed=31)
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(params, str(path))
-    loaded = load_checkpoint(str(path))
-    assert np.array_equal(loaded.to_vector(), params.to_vector())
-    assert loaded.attention.leaky_slope == params.attention.leaky_slope
-    # a second save is byte-identical
-    path2 = tmp_path / "model2.ckpt"
-    save_checkpoint(loaded, str(path2))
-    assert path.read_bytes() == path2.read_bytes()
-
-
-def test_checkpoint_rejects_garbage(tmp_path):
-    from hnd.errors import MalformedDocument
-
-    path = tmp_path / "junk.ckpt"
-    path.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
-    with pytest.raises(MalformedDocument):
-        load_checkpoint(str(path))
-
-
-def test_checkpoint_rejects_truncated_and_padded(tmp_path):
-    from hnd.errors import MalformedDocument
-
-    _, params, _, _ = small_instance(seed=31)
-    good = tmp_path / "model.ckpt"
-    save_checkpoint(params, str(good))
-    data = good.read_bytes()
-    bad = tmp_path / "bad.ckpt"
-    for damaged in (data[:-8], data[:-1], data[:20], data + b"\x00", data + data[-8:]):
-        bad.write_bytes(damaged)
-        with pytest.raises(MalformedDocument):
-            load_checkpoint(str(bad))
-
-
 def test_params_vector_round_trip():
     _, params, _, _ = small_instance(seed=41)
     vec = params.to_vector()
@@ -326,29 +278,3 @@ def test_params_vector_round_trip():
     assert np.array_equal(back.to_vector(), vec)
     with pytest.raises(ShapeMismatch):
         params.from_vector(np.zeros(vec.size + 1))
-
-
-def test_checkpoint_fuzz_raises_only_hnd_errors(tmp_path):
-    path = tmp_path / "fuzz.ckpt"
-    header = st.builds(
-        lambda dims, slope: CHECKPOINT_MAGIC + struct.pack("<IIII", 1, *dims)
-        + struct.pack("<d", slope),
-        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
-        st.floats(allow_nan=True),
-    )
-    documents = st.one_of(
-        st.binary(max_size=200),
-        st.binary(max_size=200).map(lambda b: CHECKPOINT_MAGIC + b),
-        st.tuples(header, st.binary(max_size=400)).map(lambda hb: hb[0] + hb[1]),
-    )
-
-    @given(documents)
-    @settings(max_examples=300, deadline=None)
-    def check(data):
-        path.write_bytes(data)
-        try:
-            load_checkpoint(str(path))
-        except HndError:
-            pass
-
-    check()

@@ -1,15 +1,12 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hnd.errors import ShapeMismatch, TooLarge
+from hnd.hypergraph import Hypergraph
 from hnd.operators import (
     HypergraphOperators,
-    SparseOperator,
-    dense_oracle,
     divergence_apply,
     gradient_apply,
     laplacian_apply,
@@ -36,7 +33,7 @@ def test_gradient_null_on_random_hypergraphs():
     for seed in range(10):
         ops = HypergraphOperators(random_hypergraph(seed))
         assert np.abs(ops.grad(ops.sqrt_d)).max() <= 1e-12
-        L = dense_oracle(laplacian_matrix(ops))
+        L = laplacian_matrix(ops)
         assert np.abs(L @ ops.sqrt_d).max() <= 1e-12
 
 
@@ -66,31 +63,31 @@ def test_adjointness_random(seed):
 def test_divergence_of_gradient_equals_laplacian(h0_ops):
     f = np.array([1.0, 0.0, 0.0])
     via_ops = divergence_apply(h0_ops, gradient_apply(h0_ops, f))
-    via_matrix = dense_oracle(laplacian_matrix(h0_ops)) @ f
+    via_matrix = laplacian_matrix(h0_ops) @ f
     assert np.allclose(via_ops, via_matrix, atol=1e-12)
 
 
 def test_scaled_gradient_row_sums(h0_ops):
-    G = dense_oracle(scaled_gradient_matrix(h0_ops))
+    G = scaled_gradient_matrix(h0_ops)
     assert np.abs(G @ h0_ops.sqrt_d).max() <= 1e-12
     assert G.shape == (5, 3)
 
 
 def test_factorization_h0(h0_ops):
-    G = dense_oracle(scaled_gradient_matrix(h0_ops))
-    L = dense_oracle(laplacian_matrix(h0_ops))
+    G = scaled_gradient_matrix(h0_ops)
+    L = laplacian_matrix(h0_ops)
     assert np.abs(G.T @ G - L).max() <= 1e-12
 
 
 def test_laplacian_h0_diagonal(h0_ops):
-    L = dense_oracle(laplacian_matrix(h0_ops))
+    L = laplacian_matrix(h0_ops)
     assert np.allclose(np.diag(L), [7.0 / 12.0, 7.0 / 12.0, 2.0 / 3.0], atol=1e-12)
 
 
 def test_laplacian_symmetric_psd_random():
     for seed in range(20):
         ops = HypergraphOperators(random_hypergraph(seed + 100))
-        L = dense_oracle(laplacian_matrix(ops))
+        L = laplacian_matrix(ops)
         assert np.abs(L - L.T).max() <= 1e-12
         eigs = np.linalg.eigvalsh(L)
         assert eigs.min() >= -1e-9
@@ -100,8 +97,8 @@ def test_laplacian_symmetric_psd_random():
 def test_factorization_random():
     for seed in range(10):
         ops = HypergraphOperators(random_hypergraph(seed + 300))
-        G = dense_oracle(scaled_gradient_matrix(ops))
-        L = dense_oracle(laplacian_matrix(ops))
+        G = scaled_gradient_matrix(ops)
+        L = laplacian_matrix(ops)
         assert np.abs(G.T @ G - L).max() <= 1e-12
 
 
@@ -111,7 +108,7 @@ def test_matrix_free_matches_matrices():
         rng = np.random.default_rng(seed)
         f = rng.standard_normal((ops.n, 3))
         g = rng.standard_normal((ops.N, 3))
-        G = dense_oracle(scaled_gradient_matrix(ops))
+        G = scaled_gradient_matrix(ops)
         assert np.allclose(ops.grad_scaled(f), G @ f, atol=1e-12)
         assert np.allclose(ops.grad_scaled_t(g), G.T @ g, atol=1e-12)
         # pinned scaling: div(g) = Dv^{-1/2} (B-C)^T S g = G^T S^{1/2} g
@@ -136,51 +133,24 @@ def test_scalar_and_3d_signals_raise_shape_mismatch(h0_ops, apply, rows):
             apply(h0_ops, signal)
 
 
-def test_sparse_identity_round_trip():
-    eye = SparseOperator.from_dense(np.eye(3))
-    assert np.array_equal(dense_oracle(eye), np.eye(3))
-    twice = SparseOperator.from_dense(dense_oracle(eye))
-    assert np.array_equal(dense_oracle(twice), np.eye(3))
-
-
-def test_sparse_deduplicates_and_sorts():
-    op = SparseOperator.from_triples((2, 2), [1, 0, 1], [0, 1, 0], [2.0, 3.0, -1.0])
-    assert op.row.tolist() == [0, 1]
-    assert op.col.tolist() == [1, 0]
-    assert op.val.tolist() == [3.0, 1.0]
-
-
-def test_sparse_drops_explicit_zeros():
-    op = SparseOperator.from_triples((2, 2), [0, 0], [0, 0], [1.0, -1.0])
-    assert op.val.size == 0
-
-
-def test_sparse_apply_matches_dense(h0_ops):
-    G = scaled_gradient_matrix(h0_ops)
-    x = np.array([[1.0, 2.0], [0.5, -1.0], [0.0, 3.0]])
-    assert np.allclose(G.apply(x), dense_oracle(G) @ x, atol=1e-14)
-    assert np.allclose(dense_oracle(G.transpose()), dense_oracle(G).T, atol=0)
-
-
 def test_dense_oracle_symmetry_h0(h0_ops):
-    L = dense_oracle(laplacian_matrix(h0_ops))
+    L = laplacian_matrix(h0_ops)
     assert np.array_equal(L, L.T)
 
 
+def _ring(n):
+    return Hypergraph(n=n, edges=tuple(tuple(sorted((v, (v + 1) % n))) for v in range(n)),
+                      weights=(1.0,) * n)
+
+
 def test_dense_oracle_too_large():
-    op = SparseOperator.from_triples((2000, 2000), [0], [0], [1.0])
+    # rings of 2-member edges: G is 2n x n, L is n x n; 10**6 entries is the limit
+    assert laplacian_matrix(_ring(1000)).shape == (1000, 1000)
     with pytest.raises(TooLarge):
-        dense_oracle(op)
-
-
-def test_matrix_market_export(h0_ops):
-    from scipy.io import mmread
-
-    L = laplacian_matrix(h0_ops)
-    text = L.to_matrix_market()
-    assert text.startswith("%%MatrixMarket matrix coordinate real general")
-    parsed = mmread(io.StringIO(text)).toarray()
-    assert np.allclose(parsed, dense_oracle(L), atol=0)
+        scaled_gradient_matrix(_ring(1000))
+    for build in (scaled_gradient_matrix, laplacian_matrix):
+        with pytest.raises(TooLarge):
+            build(_ring(1001))
 
 
 def _incidence(ops):
@@ -303,18 +273,14 @@ def test_matrix_builders_equal_loop_reference():
             (laplacian_matrix(ops), (ops.n, ops.n), _loop_laplacian_triples),
         )
         for built, shape, loop in cases:
-            ref = SparseOperator.from_triples(shape, *loop(ops, hg))
-            for name in ("row", "col", "val"):
-                assert np.array_equal(getattr(built, name), getattr(ref, name))
-
-
-def test_sparse_apply_matches_scatter_loop():
-    G = scaled_gradient_matrix(random_hypergraph(5))
-    rng = np.random.default_rng(5)
-    for x in (rng.standard_normal(G.shape[1]), rng.standard_normal((G.shape[1], 3))):
-        ref = np.zeros((G.shape[0],) + x.shape[1:])
-        np.add.at(ref, G.row, (G.val[:, None] * x[G.col]) if x.ndim == 2 else G.val * x[G.col])
-        assert np.array_equal(G.apply(x), ref)
+            rows, cols, vals = loop(ops, hg)
+            ref = np.zeros(shape)
+            np.add.at(ref, (rows, cols), vals)
+            assert type(built) is np.ndarray
+            assert np.array_equal(built, ref)
+        # L[v, u] and L[u, v] add the same terms in the same (edge) order
+        L = cases[1][0]
+        assert np.array_equal(L, L.T)
 
 
 def _workspace_arrays(ops):
@@ -371,7 +337,7 @@ def test_weighted_transpose_matches_dense_oracle(seed, width):
     ops = HypergraphOperators(random_hypergraph(seed))
     # a slip between sqrt(w) and w shows only where the weights are not 1
     assume(np.ptp(ops.w_pair) > 0.1)
-    G = dense_oracle(scaled_gradient_matrix(ops))
+    G = scaled_gradient_matrix(ops)
     rng = np.random.default_rng(seed)
     tail = () if width is None else (width,)
     f = rng.standard_normal((ops.n,) + tail)

@@ -15,7 +15,7 @@ from hnd.modulation import (
     softmax_modulation_fn,
     uniform_modulation,
 )
-from hnd.operators import HypergraphOperators, dense_oracle, scaled_gradient_matrix
+from hnd.operators import HypergraphOperators, scaled_gradient_matrix
 from hnd.solvers import (
     AB4_COEFFICIENTS,
     AM4_COEFFICIENTS,
@@ -38,7 +38,7 @@ from conftest import random_hypergraph
 
 
 def dense_operator(ops, a):
-    G = dense_oracle(scaled_gradient_matrix(ops))
+    G = scaled_gradient_matrix(ops)
     return G.T @ (a[:, None] * G)
 
 
@@ -472,6 +472,7 @@ def test_degenerate_adaptive_settings_raise_instead_of_hanging():
 import numpy as np
 from hnd.hypergraph import Hypergraph
 from hnd.modulation import uniform_modulation
+from hnd.errors import StepUnderflow
 from hnd.solvers import AdaptiveSpec, integrate_adaptive
 
 hg = Hypergraph(n=3, edges=((0, 1), (0, 1, 2)), weights=(1.0, 1.0))
@@ -491,6 +492,13 @@ for horizon, kwargs, field in [
         assert str(exc).startswith(field + " must be finite and positive"), exc
     else:
         raise AssertionError(f"{kwargs} accepted")
+# a NaN weight makes every error estimate NaN, which no step size can fix
+try:
+    integrate_adaptive(hg, np.full(5, nan), x, 1.0)
+except StepUnderflow as exc:
+    assert "t=0.0" in str(exc) and "tau=0.1" in str(exc), exc
+else:
+    raise AssertionError("NaN error estimate accepted")
 """
     src = str(Path(hnd.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
