@@ -187,7 +187,7 @@ def _cmd_diffuse(args) -> int:
     x0 = ds.features
     a = _modulation(cfg, ops, x0.shape[1])
     traj = integrate(ops, a, x0, spec)
-    a0 = _weights_fn(a)(x0)
+    a0 = _weights_fn(ops, a)(x0)
     report = energy_monotonicity(ops, traj, a0 if policy == "frozen" else a)
     bounds = max_principle(ops, traj)
     lam, converged = spectral_radius(ops, a0)
@@ -392,7 +392,7 @@ def _cmd_spectrum(args) -> int:
         raise ValueError("spectrum requires a dataset path")
     ds = _load_dataset(cfg["dataset"], cfg)
     ops = as_operators(ds.hypergraph)
-    a = _weights_fn(_modulation(cfg, ops, ds.features.shape[1]))(ds.features)
+    a = _weights_fn(ops, _modulation(cfg, ops, ds.features.shape[1]))(ds.features)
     lam, converged = spectral_radius(ops, a, iters=int(cfg["iters"]), tol=float(cfg["tol"]))
     body = {
         "library_version": __version__,

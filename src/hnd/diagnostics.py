@@ -69,7 +69,7 @@ def energy(hg, a, x: np.ndarray) -> float:
     if x.shape[0] != ops.n:
         raise ShapeMismatch(f"state has {x.shape[0]} rows, hypergraph has {ops.n}")
     gx = _rows(ops.grad_scaled(x))
-    weighted = gx * gx * _weights_fn(a)(x)[:, None]
+    weighted = gx * gx * _weights_fn(ops, a)(x)[:, None]
     return 0.5 * float(weighted.sum())
 
 
@@ -81,7 +81,7 @@ def energy_monotonicity(hg, traj: Trajectory, a, rel_tol: float = 1e-10) -> Ener
     recompute-each-step convention).
     """
     ops = as_operators(hg)
-    a_fn = _weights_fn(a)
+    a_fn = _weights_fn(ops, a)
     vals = np.array([energy(ops, a_fn(s), s) for s in traj.states])
     first = None
     worst = 0.0
@@ -124,7 +124,7 @@ def spectral_radius(hg, a, iters: int = 200, tol: float = 1e-10,
     (estimate, converged).
     """
     ops = as_operators(hg)
-    vec = _weights_fn(a)(None)
+    vec = _weights_fn(ops, a)(None)
     if iters < 1:
         raise ValueError("iters must be >= 1")
     v = make_rng(seed).standard_normal(ops.n)

@@ -11,17 +11,17 @@ modulation path (aggregation, projection, scoring map, per-node
 softmax), by hand-written vector-Jacobian products. Only the explicit
 Euler scheme is trainable; the remaining schemes are inference-only.
 
-For ``l`` every Euler step applies the same symmetric map
-M = I - tau G^T A G, and the decoder makes the last state's adjoint
-dX_L = dlogits w_out^T. Since M is linear, dX_k = V_k w_out^T exactly,
-with V_L = dlogits and V_k = M V_{k+1}, so the backward pass carries the
-n x C factor V instead of the n x hidden dX: each step's modulation
-gradient is -tau rowsum(G V_{k+1} * G x_k w_out), pairing G V with the
-G x_k w_out the forward pass stores, and V maps back to hidden space
-once, before the modulation and encoder gradients. The adjoint's cost
-scales with the class count C, not the hidden width. ``nl`` adds a full
-rank modulation term to dX at every step, so its adjoint stays in
-hidden space.
+With the weights frozen (``l``), every step of a fixed-step scheme is
+linear in the state and so commutes with the decoder: for Euler,
+x_L w_out = M^L (x0 w_out) with M = I - tau G^T A G. Both passes
+therefore diffuse the n x C logits z = x w_out, and only the scoring map
+at x0 sees the hidden width. M is symmetric, so the adjoint is
+V_k = M V_{k+1} from V_L = dlogits, also on C columns: the modulation
+gradient sums -tau rowsum(G V_{k+1} * G z_k) over the steps, the
+encoded state gets V_0 w_out^T, and w_out gets x0^T V_0. Implicit Euler
+and the adaptive scheme stop at a tolerance or a norm, so they integrate
+at the hidden width. ``nl`` adds a full-rank modulation term to the
+state adjoint at every step, so it stays at the hidden width throughout.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ def forward(params: ModelParams, dataset: Dataset, spec: SolverSpec, variant: st
     weights at the encoded initial state, ``nl`` recomputes them during
     integration (overriding ``spec.modulation_policy``).
     """
-    if variant not in ("l", "nl"):
+    if variant not in _PASSES:
         raise ValueError(f"variant must be 'l' or 'nl', got {variant!r}")
     ops = as_operators(dataset.hypergraph)
     X_in = dataset.features
@@ -125,6 +125,8 @@ def forward(params: ModelParams, dataset: Dataset, spec: SolverSpec, variant: st
     if spec.steps == 0:
         return x0 @ params.w_out
     a_fn = softmax_modulation_fn(params.attention, ops, agg)
+    if variant == "l" and spec.scheme not in ("implicit_euler", "adaptive"):
+        return integrate(ops, a_fn(x0), x0 @ params.w_out, spec).states[-1]
     policy = "frozen" if variant == "l" else "recompute_each_step"
     traj = integrate(ops, a_fn, x0, replace(spec, modulation_policy=policy))
     return traj.states[-1] @ params.w_out
@@ -147,38 +149,15 @@ def loss_and_gradients(params: ModelParams, dataset: Dataset, train_mask: np.nda
         raise UnsupportedSchemeForTraining(
             f"training supports explicit_euler only, got {spec.scheme!r}"
         )
-    if variant not in ("l", "nl"):
+    if variant not in _PASSES:
         raise ValueError(f"variant must be 'l' or 'nl', got {variant!r}")
     ops = as_operators(dataset.hypergraph)
-    tau = spec.tau
-    steps = spec.steps
 
     X_in = dataset.features
     if input_dropout > 0.0:
         X_in = X_in * _dropout_mask(X_in.shape, input_dropout, dropout_seed)
     x0 = X_in @ params.w_in
-
-    # forward with caches
-    pair_caches = []    # per step: G x_k for nl, G x_k w_out for l
-    mod_caches = []     # per-step (a, score cache) for nl
-    a_frozen = None
-    frozen_cache = None
-    if variant == "l" and steps > 0:
-        s, frozen_cache = scores_forward(params.attention, x0, ops, agg)
-        a_frozen = normalize_modulation(s, ops).values
-    x = x0
-    for _ in range(steps):
-        if variant == "nl":
-            s, cache = scores_forward(params.attention, x, ops, agg)
-            a = normalize_modulation(s, ops).values
-            mod_caches.append((a, cache))
-        else:
-            a = a_frozen
-        gx = ops.grad_scaled(x)
-        pair_caches.append(gx if variant == "nl" else gx @ params.w_out)
-        x = x - tau * ops.grad_scaled_t(gx, a=a)
-
-    logits = x @ params.w_out
+    logits, backward = _PASSES[variant](params, ops, x0, spec.tau, spec.steps, agg)
 
     # masked cross-entropy
     mask = np.asarray(train_mask, dtype=bool)
@@ -194,50 +173,70 @@ def loss_and_gradients(params: ModelParams, dataset: Dataset, train_mask: np.nda
     pvec = params.to_vector()
     loss += 0.5 * weight_decay * float(pvec @ pvec)
 
-    # backward
+    # backward; each pass maps dlogits to (scoring-map grads, encoded-state adjoint, w_out grad)
     dlogits = np.zeros_like(logits)
     dlogits[mask] = probs[mask]
     dlogits[mask, labels[mask]] -= 1.0
     dlogits /= count
-
-    g_w_out = x.T @ dlogits
-    # Adjoint of the state: dX_k itself for nl; for l, the n x C factor V_k
-    # of dX_k = V_k w_out^T (see the module docstring).
-    adj = dlogits if variant == "l" else dlogits @ params.w_out.T
-    g_att = params.attention.zeros_like()
-    da_frozen = np.zeros(ops.N) if variant == "l" and steps > 0 else None
-
-    for k in range(steps - 1, -1, -1):
-        a = mod_caches[k][0] if variant == "nl" else a_frozen
-        gd = ops.grad_scaled(adj)
-        da = -tau * np.einsum("ij,ij->i", gd, pair_caches[k])
-        adj = adj - tau * ops.grad_scaled_t(gd, a=a)
-        if variant == "nl":
-            ds = softmax_backward(a, ops, da)
-            g_step, dX_mod = scores_backward(params.attention, ops, mod_caches[k][1], ds)
-            _accumulate(g_att, g_step)
-            adj = adj + dX_mod
-        else:
-            da_frozen += da
-
-    dX = adj @ params.w_out.T if variant == "l" else adj
-    if variant == "l" and steps > 0:
-        ds = softmax_backward(a_frozen, ops, da_frozen)
-        g_step, dX_mod = scores_backward(params.attention, ops, frozen_cache, ds)
-        _accumulate(g_att, g_step)
-        dX = dX + dX_mod
-
-    g_w_in = X_in.T @ dX
-    grads = ModelParams(w_in=g_w_in, attention=g_att, w_out=g_w_out)
+    g_att, dX, g_w_out = backward(dlogits)
+    grads = ModelParams(w_in=X_in.T @ dX, attention=g_att, w_out=g_w_out)
     if weight_decay != 0.0:
         gvec = grads.to_vector() + weight_decay * pvec
         grads = grads.from_vector(gvec)
     return float(loss), grads, logits
 
 
+def _frozen_pass(params, ops, x0, tau, steps, agg):
+    """``l``: logits of Euler steps on z = x0 w_out, and ``backward(dlogits)``."""
+    if steps == 0:  # no step reads the modulation, so do not score it
+        return _recompute_pass(params, ops, x0, tau, steps, agg)
+    s, cache = scores_forward(params.attention, x0, ops, agg)
+    a = normalize_modulation(s, ops).values
+    z = x0 @ params.w_out
+    gzs = []            # G z_k per step
+    for _ in range(steps):
+        gzs.append(ops.grad_scaled(z))
+        z = z - tau * ops.grad_scaled_t(gzs[-1], a=a)
+
+    def backward(dlogits):
+        v, da = dlogits, np.zeros(ops.N)
+        for gz in reversed(gzs):
+            gv = ops.grad_scaled(v)
+            da -= tau * np.einsum("ij,ij->i", gv, gz)
+            v = v - tau * ops.grad_scaled_t(gv, a=a)
+        g_att, dX_mod = scores_backward(params.attention, ops, cache, softmax_backward(a, ops, da))
+        return g_att, v @ params.w_out.T + dX_mod, x0.T @ v
+    return z, backward
+
+
+def _recompute_pass(params, ops, x, tau, steps, agg):
+    """``nl``: logits of Euler steps rescoring every state, and ``backward(dlogits)``."""
+    steps_cache = []    # per step: (a, score cache, G x_k)
+    for _ in range(steps):
+        s, cache = scores_forward(params.attention, x, ops, agg)
+        a = normalize_modulation(s, ops).values
+        gx = ops.grad_scaled(x)
+        steps_cache.append((a, cache, gx))
+        x = x - tau * ops.grad_scaled_t(gx, a=a)
+
+    def backward(dlogits):
+        g_att = params.attention.zeros_like()
+        dX = dlogits @ params.w_out.T
+        for a, cache, gx in reversed(steps_cache):
+            gd = ops.grad_scaled(dX)
+            da = -tau * np.einsum("ij,ij->i", gd, gx)
+            dX = dX - tau * ops.grad_scaled_t(gd, a=a)
+            g_step, dX_mod = scores_backward(params.attention, ops, cache,
+                                             softmax_backward(a, ops, da))
+            _accumulate(g_att, g_step)
+            dX = dX + dX_mod
+        return g_att, dX, x.T @ dlogits
+    return x @ params.w_out, backward
+
+
+_PASSES = {"l": _frozen_pass, "nl": _recompute_pass}
+
+
 def _accumulate(total: AttentionParams, delta: AttentionParams) -> None:
-    total.projection += delta.projection
-    total.hidden_w += delta.hidden_w
-    total.hidden_b += delta.hidden_b
-    total.out_w += delta.out_w
-    total.out_b += delta.out_b
+    for name in ("projection", "hidden_w", "hidden_b", "out_w", "out_b"):
+        getattr(total, name)[...] += getattr(delta, name)

@@ -10,6 +10,8 @@ Only ``integrate`` applies ``SolverSpec.modulation_policy``: ``frozen``
 evaluates a callable once at the initial state, ``recompute_each_step``
 at every right-hand-side evaluation, including Runge-Kutta stages,
 which is what every other function here does with a callable.
+``_weights_fn`` is the one reader of the modulation, and it rejects any
+weight vector that is not finite, non-negative and of shape (N,).
 
 The implicit Euler step runs an outer fixed-point loop on the
 modulation combined with an inner conjugate-gradient solve of the
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoConvergence, StepUnderflow, TooFewSteps
+from .errors import NoConvergence, ShapeMismatch, StepUnderflow, TooFewSteps
 from .modulation import ModulationWeights
 from .operators import _rows, as_operators
 
@@ -99,24 +101,32 @@ class Trajectory:
     rejected: int = 0
 
 
-def _weights_fn(a):
-    """Any accepted modulation ``a`` as a callable ``x -> weight vector``."""
+def _weights_fn(ops, a):
+    """Any accepted modulation ``a`` as a callable ``x -> weight vector``.
+
+    A vector is checked once, when it is wrapped, and each result of a
+    callable when it is returned: anything but a finite non-negative
+    vector of shape (N,) raises ShapeMismatch.
+    """
     if callable(a):
-        return lambda x: _weights_fn(a(x))(x)
+        return lambda x: _weights_fn(ops, a(x))(x)
     vec = a.values if isinstance(a, ModulationWeights) else np.asarray(a, dtype=np.float64)
+    if vec.shape != (ops.N,) or not (vec.min() >= 0 and math.isfinite(vec.max())):
+        raise ShapeMismatch(
+            f"modulation weights must be finite, non-negative and of shape ({ops.N},)")
     return lambda x: vec
 
 
 def rhs(hg, a, x: np.ndarray) -> np.ndarray:
     """Diffusion right-hand side -G^T diag(a) G x."""
     ops = as_operators(hg)
-    return -ops.quad_apply(_weights_fn(a)(x), np.asarray(x, dtype=np.float64))
+    return -ops.quad_apply(_weights_fn(ops, a)(x), np.asarray(x, dtype=np.float64))
 
 
 def step_explicit_euler(hg, a, x: np.ndarray, tau: float) -> np.ndarray:
     """One forward-Euler update with the modulation evaluated at x."""
     ops = as_operators(hg)
-    return x - tau * ops.quad_apply(_weights_fn(a)(x), x)
+    return x - tau * ops.quad_apply(_weights_fn(ops, a)(x), x)
 
 
 def step_implicit_euler(hg, a, x: np.ndarray, tau: float,
@@ -132,7 +142,7 @@ def step_implicit_euler(hg, a, x: np.ndarray, tau: float,
     residual included, plus one residual per fixed-point iteration.
     """
     ops = as_operators(hg)
-    a_fn = _weights_fn(a)
+    a_fn = _weights_fn(ops, a)
     x = np.asarray(x, dtype=np.float64)
     if tau == 0.0:
         return x.copy()
@@ -197,7 +207,7 @@ def _cg_solve(ops, a, b, tau, x0, tol, max_iter):
 def step_rk4(hg, a, x: np.ndarray, tau: float) -> np.ndarray:
     """Classical four-stage fourth-order update on the diffusion flow."""
     ops = as_operators(hg)
-    a_fn = _weights_fn(a)
+    a_fn = _weights_fn(ops, a)
 
     def g(v):
         return -ops.quad_apply(a_fn(v), v)
@@ -223,7 +233,7 @@ def integrate_multistep(hg, a, x0: np.ndarray, tau: float, steps: int,
         raise ValueError(f"unknown multistep scheme {scheme!r}")
     ops = as_operators(hg)
     x = np.asarray(x0, dtype=np.float64)
-    a_fn = _weights_fn(a)
+    a_fn = _weights_fn(ops, a)
 
     traj = Trajectory(times=[0.0], states=[x.copy()], step_sizes=[])
     def g(v):
@@ -284,7 +294,7 @@ def integrate_adaptive(hg, a, x0: np.ndarray, horizon_T: float,
                       tau_min=spec.tau_min, tau_max=spec.tau_max)
     ops = as_operators(hg)
     x = np.asarray(x0, dtype=np.float64)
-    a_fn = _weights_fn(a)
+    a_fn = _weights_fn(ops, a)
 
     traj = Trajectory(times=[0.0], states=[x.copy()], step_sizes=[])
     def g(v):
@@ -329,9 +339,9 @@ def integrate(hg, a, x0: np.ndarray, spec: SolverSpec) -> Trajectory:
     """Run the scheme selected by ``spec`` and record the trajectory."""
     ops = as_operators(hg)
     x = np.asarray(x0, dtype=np.float64)
-    a_fn = _weights_fn(a)
+    a_fn = _weights_fn(ops, a)
     if spec.modulation_policy == "frozen":
-        a_fn = _weights_fn(a_fn(x).copy())
+        a_fn = _weights_fn(ops, a_fn(x).copy())
 
     if spec.scheme in ("ab4", "am4"):
         return integrate_multistep(ops, a_fn, x, spec.tau, spec.steps, spec.scheme)

@@ -12,7 +12,7 @@ from hnd.modulation import (
 )
 from hnd.operators import HypergraphOperators, as_operators
 from hnd.rng import make_rng
-from hnd.solvers import SolverSpec, step_explicit_euler
+from hnd.solvers import SolverSpec, integrate, step_explicit_euler
 
 from conftest import random_dataset, random_hypergraph
 
@@ -218,7 +218,7 @@ def test_l_gradcheck_more_classes_than_hidden(hidden, agg):
 
 
 def test_l_adjoint_applies_run_on_class_columns(monkeypatch):
-    # forward steps apply G and G^T to hidden columns, the l adjoint to C columns
+    # the l loss pass applies G and G^T to C columns only: steps forward, steps adjoint
     hidden, classes, steps = 6, 3, 4
     ds, params, _, mask = small_instance(seed=5, hidden=hidden, classes=classes)
     spec = SolverSpec(scheme="explicit_euler", tau=0.5, steps=steps)
@@ -231,7 +231,26 @@ def test_l_adjoint_applies_run_on_class_columns(monkeypatch):
         monkeypatch.setattr(ops, name, counted)
     loss_and_gradients(params, ds, mask, spec, "l")
     for log in seen.values():
-        assert log == [hidden] * steps + [classes] * steps
+        assert log == [classes] * (2 * steps)
+
+
+@pytest.mark.parametrize("hidden", [2, 6])
+@pytest.mark.parametrize("agg", ["mean", "max"])
+def test_l_forward_class_space_matches_hidden_space(hidden, agg):
+    # the fixed-step schemes diffuse x0 w_out; implicit Euler and adaptive diffuse x0
+    ds, params, _, _ = small_instance(seed=29, hidden=hidden, classes=3)
+    ops = as_operators(ds.hypergraph)
+    x0 = ds.features @ params.w_in
+    s, _ = scores_forward(params.attention, x0, ops, agg)
+    a = normalize_modulation(s, ops).values
+    for scheme in ("explicit_euler", "rk4", "ab4", "am4", "implicit_euler", "adaptive"):
+        spec = SolverSpec(scheme=scheme, tau=0.4, steps=5)
+        ref = integrate(ops, a, x0, spec).states[-1] @ params.w_out
+        logits = forward(params, ds, spec, "l", agg=agg)
+        if scheme in ("implicit_euler", "adaptive"):
+            assert np.array_equal(logits, ref), scheme
+        else:
+            assert np.abs(logits - ref).max() <= 1e-12 * np.abs(ref).max(), scheme
 
 
 def test_gradients_deterministic():

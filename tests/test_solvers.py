@@ -8,7 +8,8 @@ import pytest
 from scipy.linalg import expm
 
 import hnd
-from hnd.errors import NoConvergence, StepUnderflow, TooFewSteps
+from hnd.diagnostics import energy, energy_monotonicity, spectral_radius
+from hnd.errors import NoConvergence, ShapeMismatch, StepUnderflow, TooFewSteps
 from hnd.modulation import (
     AttentionParams,
     normalize_modulation,
@@ -492,9 +493,9 @@ for horizon, kwargs, field in [
         assert str(exc).startswith(field + " must be finite and positive"), exc
     else:
         raise AssertionError(f"{kwargs} accepted")
-# a NaN weight makes every error estimate NaN, which no step size can fix
+# a NaN state makes every error estimate NaN, which no step size can fix
 try:
-    integrate_adaptive(hg, np.full(5, nan), x, 1.0)
+    integrate_adaptive(hg, a, np.array([nan, 0.0, 0.0]), 1.0)
 except StepUnderflow as exc:
     assert "t=0.0" in str(exc) and "tau=0.1" in str(exc), exc
 else:
@@ -505,3 +506,37 @@ else:
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+_BAD_WEIGHTS = {
+    "nan": np.full(5, np.nan),
+    "inf": np.full(5, np.inf),
+    "negative": np.array([0.5, 0.5, 0.5, -0.1, 0.5]),
+    "one_nan": np.array([0.5, 0.5, np.nan, 0.5, 0.5]),
+    "short": np.full(4, 0.5),
+    "2-D": np.full((5, 1), 0.5),
+}
+
+
+@pytest.mark.parametrize("bad", list(_BAD_WEIGHTS))
+def test_bad_weights_raise_shape_mismatch_everywhere(h0_ops, bad):
+    # once wrapped as a vector, and on every result of a callable
+    x = np.array([1.0, 0.0, 0.0])
+    w = _BAD_WEIGHTS[bad]
+    traj = Trajectory(times=[0.0], states=[x], step_sizes=[])
+    for a in (w, lambda v: w):
+        for scheme in SCHEMES:
+            with pytest.raises(ShapeMismatch, match="finite, non-negative and of shape"):
+                integrate(h0_ops, a, x, SolverSpec(scheme=scheme, steps=4, tau=0.5))
+        with pytest.raises(ShapeMismatch):
+            energy(h0_ops, a, x)
+        with pytest.raises(ShapeMismatch):
+            energy_monotonicity(h0_ops, traj, a)
+    with pytest.raises(ShapeMismatch):
+        spectral_radius(h0_ops, w)
+
+
+def test_zero_weights_are_accepted(h0_ops):
+    x = np.array([1.0, 0.0, 0.0])
+    traj = integrate(h0_ops, np.zeros(5), x, SolverSpec(scheme="rk4", steps=2, tau=0.5))
+    assert np.array_equal(traj.states[-1], x)
