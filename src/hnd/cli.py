@@ -4,9 +4,11 @@ and solver/noise benchmarking with machine-readable outputs.
 Exit codes: 0 success, 2 config or validation error, 3 I/O error,
 4 numerical failure. Config precedence is command-line flag over config
 file over built-in default; the resolved config is echoed into every
-output document. Output bodies contain no timestamps or wall-clock
-values; timing goes to a separate ``timing.json`` sidecar so reruns are
-byte-identical.
+output document. A config-file value must have its flag's type (an
+integer given for a float is stored as a float; ``null`` stands only
+where the default is unset), or the command exits 2 naming the key.
+Output bodies contain no timestamps or wall-clock values; timing goes
+to a separate ``timing.json`` sidecar so reruns are byte-identical.
 
 ``HND_THREADS`` caps the worker count used to fan out sweep points;
 unset means sequential execution.
@@ -36,6 +38,7 @@ from .modulation import AttentionParams, softmax_modulation_fn, uniform_modulati
 from .operators import DENSE_LIMIT, as_operators, scaled_gradient_matrix
 from .rng import make_rng
 from .solvers import (
+    SCHEMES,
     AdaptiveSpec,
     SolverSpec,
     _weights_fn,
@@ -85,21 +88,53 @@ def _load_config_file(path: str, allowed: set) -> dict:
     return obj
 
 
-def _resolve(args, schema: dict) -> dict:
-    """flag > config file > default, for every key in the schema."""
+def _resolve(args) -> dict:
+    """flag > config file > default, for every option of the command,
+    each value typed by ``_typed``."""
     file_cfg = {}
-    if getattr(args, "config", None):
-        file_cfg = _load_config_file(args.config, set(schema))
+    if args.config:
+        file_cfg = _load_config_file(args.config, {option[0] for option in args.options})
     resolved = {}
-    for key, default in schema.items():
+    for option in args.options:
+        key, default = option[:2]
         flag = getattr(args, key, None)
-        if flag is not None:
-            resolved[key] = flag
-        elif key in file_cfg:
-            resolved[key] = file_cfg[key]
-        else:
-            resolved[key] = default
+        resolved[key] = _typed(option, file_cfg.get(key, default) if flag is None else flag)
     return resolved
+
+
+def _typed(option, value):
+    """The value as its option's type, or a ValueError naming the key. A
+    float takes any number but a bool; a list, comma text or an array."""
+    key, default, kind, choices = option
+    if value is None and default is None:
+        return None
+    try:
+        if not isinstance(kind, list):
+            if choices is None or value in choices:
+                return _scalar(kind, value)
+        elif isinstance(value, str):
+            _parse_list(value, kind[0])
+            return value
+        elif isinstance(value, (list, tuple)):
+            return [_scalar(kind[0], item) for item in value]
+    except (TypeError, ValueError, OverflowError):
+        pass
+    expected = list(choices) if choices else (
+        f"{kind[0].__name__} list" if isinstance(kind, list) else kind.__name__)
+    raise ValueError(f"option {key!r} takes {expected}, not {json.dumps(value)}")
+
+
+def _scalar(kind, value):
+    if isinstance(value, bool) != (kind is bool) or \
+            not isinstance(value, (int, float) if kind is float else kind):
+        raise TypeError(value)
+    return float(value) if kind is float else value
+
+
+def _parse_list(text, cast=float) -> list:
+    if isinstance(text, (list, tuple)):
+        return [cast(x) for x in text]
+    return [cast(tok) for tok in str(text).split(",") if tok.strip()]
 
 
 def _load_dataset(path: str, resolved: dict) -> Dataset:
@@ -107,8 +142,8 @@ def _load_dataset(path: str, resolved: dict) -> Dataset:
         doc = parse_document(fh.read())
     if isinstance(doc, Dataset):
         return doc
-    rng = make_rng(int(resolved.get("seed", 0)))
-    feats = rng.standard_normal((doc.n, int(resolved.get("dim", 4))))
+    rng = make_rng(resolved["seed"])
+    feats = rng.standard_normal((doc.n, resolved["dim"]))
     labels = np.zeros(doc.n, dtype=np.int64)
     return Dataset(hypergraph=doc, features=feats, labels=labels, class_count=1)
 
@@ -127,22 +162,21 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-_SBM_SCHEMA = {
-    "nodes_per_class": 250, "edges": 100, "edge_size": 15, "alpha": 1,
-    "feature_dim": 4, "sigma": 1.0, "seed": 0,
-}
+# Each command's options: (key, default, type, choices). The flag is
+# --key with dashes; a list type [t] takes comma text or a JSON array.
+_SBM_OPTIONS = (  # in generate_sbm's argument order
+    ("nodes_per_class", 250, int, None), ("edges", 100, int, None),
+    ("edge_size", 15, int, None), ("alpha", 1, int, None),
+    ("feature_dim", 4, int, None), ("sigma", 1.0, float, None), ("seed", 0, int, None),
+)
 
 
 def _generate_sbm(cfg: dict) -> Dataset:
-    return generate_sbm(
-        int(cfg["nodes_per_class"]), int(cfg["edges"]), int(cfg["edge_size"]),
-        int(cfg["alpha"]), int(cfg["feature_dim"]), float(cfg["sigma"]),
-        int(cfg["seed"]),
-    )
+    return generate_sbm(*(cfg[option[0]] for option in _SBM_OPTIONS))
 
 
 def _cmd_sbm(args) -> int:
-    ds = _generate_sbm(_resolve(args, _SBM_SCHEMA))
+    ds = _generate_sbm(_resolve(args))
     out = _out_dir(args)
     path = os.path.join(out, "dataset.json")
     _write_file(path, dataset_to_json(ds))
@@ -150,38 +184,39 @@ def _cmd_sbm(args) -> int:
     return 0
 
 
-_DIFFUSE_SCHEMA = {
-    "dataset": None, "scheme": "explicit_euler", "tau": 1.0, "horizon": None,
-    "steps": 4, "modulation": "uniform", "variant": "l", "seed": 0, "dim": 4,
-    "fp_tol": 1e-10, "fp_max_iter": 100, "tol": 1e-6, "tau_min": 1e-10,
-    "dump_states": False,
-}
+_MODULATIONS = ("uniform", "softmax")
+_VARIANTS = ("l", "nl")
+_DIFFUSE_OPTIONS = (
+    ("dataset", None, str, None), ("scheme", "explicit_euler", str, SCHEMES),
+    ("tau", 1.0, float, None), ("horizon", None, float, None), ("steps", 4, int, None),
+    ("modulation", "uniform", str, _MODULATIONS), ("variant", "l", str, _VARIANTS),
+    ("seed", 0, int, None), ("dim", 4, int, None), ("fp_tol", 1e-10, float, None),
+    ("fp_max_iter", 100, int, None), ("tol", 1e-6, float, None),
+    ("tau_min", 1e-10, float, None), ("dump_states", False, bool, None),
+)
 
 
 def _modulation(cfg: dict, ops, dim: int):
     """The configured modulation: fixed uniform weights, or the softmax
     as a callable ``x -> weights``."""
-    if cfg["modulation"] == "uniform":
-        return uniform_modulation(ops).values
     if cfg["modulation"] == "softmax":
-        return softmax_modulation_fn(AttentionParams.init(dim, int(cfg["seed"])), ops)
-    raise ValueError(f"unknown modulation {cfg['modulation']!r}")
+        return softmax_modulation_fn(AttentionParams.init(dim, cfg["seed"]), ops)
+    return uniform_modulation(ops).values
 
 
 def _cmd_diffuse(args) -> int:
-    cfg = _resolve(args, _DIFFUSE_SCHEMA)
+    cfg = _resolve(args)
     if not cfg["dataset"]:
         raise ValueError("diffuse requires a dataset path")
     ds = _load_dataset(cfg["dataset"], cfg)
     ops = as_operators(ds.hypergraph)
-    tau = float(cfg["tau"])
-    steps = int(cfg["steps"]) if cfg["horizon"] is None else int(round(float(cfg["horizon"]) / tau))
+    tau = cfg["tau"]
+    steps = cfg["steps"] if cfg["horizon"] is None else int(round(cfg["horizon"] / tau))
     policy = "frozen" if cfg["variant"] == "l" else "recompute_each_step"
     spec = SolverSpec(
         scheme=cfg["scheme"], tau=tau, steps=steps, modulation_policy=policy,
-        fp_tol=float(cfg["fp_tol"]), fp_max_iter=int(cfg["fp_max_iter"]),
-        adaptive=AdaptiveSpec(tol=float(cfg["tol"]), tau_init=tau,
-                              tau_min=float(cfg["tau_min"]),
+        fp_tol=cfg["fp_tol"], fp_max_iter=cfg["fp_max_iter"],
+        adaptive=AdaptiveSpec(tol=cfg["tol"], tau_init=tau, tau_min=cfg["tau_min"],
                               tau_max=max(tau, 10.0)),
     )
     x0 = ds.features
@@ -215,26 +250,34 @@ def _cmd_diffuse(args) -> int:
     return 0
 
 
-_TRAIN_SCHEMA = {
-    "dataset": None, "lr": 0.01, "weight_decay": 0.0, "dropout": 0.0,
-    "hidden": 64, "horizon": 4.0, "tau": 1.0, "variant": "l",
-    "scheme": "explicit_euler", "epochs": 200, "seed": 0, "splits": 5,
-    "ratios": (0.5, 0.25, 0.25), "agg": "mean", "standardize": True,
-    "layers": None, "noise": None, "rates": None,
-    "nodes_per_class": 250, "edges": 100, "edge_size": 15, "alpha": 1,
-    "feature_dim": 4, "sigma": 1.0,
-}
+_TRAIN_OPTIONS = (
+    ("dataset", None, str, None), ("lr", 0.01, float, None),
+    ("weight_decay", 0.0, float, None), ("dropout", 0.0, float, None),
+    ("hidden", 64, int, None), ("horizon", 4.0, float, None), ("tau", 1.0, float, None),
+    ("variant", "l", str, _VARIANTS), ("scheme", "explicit_euler", str, SCHEMES),
+    ("epochs", 200, int, None), ("seed", 0, int, None), ("splits", 5, int, None),
+    ("ratios", (0.5, 0.25, 0.25), [float], None),  # config file only
+    ("agg", "mean", str, ("mean", "max")), ("standardize", True, bool, None),
+    ("noise", None, str, ("gaussian", "uniform", "mask", "structure")),
+    ("rates", None, [float], None),
+    *_SBM_OPTIONS[:-1],  # the dataset generated when none is given
+    ("layers", None, [int], None),
+)
+# bench-noise is train without the depth sweep, and sweeps structure noise by default
+_BENCH_NOISE_OPTIONS = tuple(
+    (key, "structure" if key == "noise" else default, kind, choices)
+    for key, default, kind, choices in _TRAIN_OPTIONS if key != "layers"
+)
 
 
 def _train_config(cfg: dict) -> TrainConfig:
     return TrainConfig(
-        lr=float(cfg["lr"]), weight_decay=float(cfg["weight_decay"]),
-        input_dropout=float(cfg["dropout"]), hidden_dim=int(cfg["hidden"]),
-        horizon=float(cfg["horizon"]), tau=float(cfg["tau"]),
-        variant=cfg["variant"], scheme=cfg["scheme"], epochs=int(cfg["epochs"]),
-        base_seed=int(cfg["seed"]), split_count=int(cfg["splits"]),
-        ratios=tuple(cfg["ratios"]), agg=cfg["agg"],
-        standardize=bool(cfg["standardize"]),
+        lr=cfg["lr"], weight_decay=cfg["weight_decay"], input_dropout=cfg["dropout"],
+        hidden_dim=cfg["hidden"], horizon=cfg["horizon"], tau=cfg["tau"],
+        variant=cfg["variant"], scheme=cfg["scheme"], epochs=cfg["epochs"],
+        base_seed=cfg["seed"], split_count=cfg["splits"],
+        ratios=tuple(_parse_list(cfg["ratios"])), agg=cfg["agg"],
+        standardize=cfg["standardize"],
     )
 
 
@@ -250,7 +293,7 @@ def _report_json(report) -> dict:
 
 
 def _cmd_train(args) -> int:
-    cfg = _resolve(args, _TRAIN_SCHEMA)
+    cfg = {"layers": None, **_resolve(args)}  # bench-noise echoes "layers": null
     ds = _train_dataset(cfg)
     config = _train_config(cfg)
     out = _out_dir(args)
@@ -289,17 +332,10 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_bench_noise(args) -> int:
-    args.layers = None
-    if args.noise is None:
-        args.noise = "structure"
-    return _cmd_train(args)
-
-
-_BENCH_SCHEMA = {
-    "taus": "0.4,0.2,0.1,0.05", "tols": "1e-4,1e-6", "horizon": 2.0,
-    "seed": 0, "dim": 3,
-}
+_BENCH_SOLVER_OPTIONS = (
+    ("taus", "0.4,0.2,0.1,0.05", [float], None), ("tols", "1e-4,1e-6", [float], None),
+    ("horizon", 2.0, float, None), ("seed", 0, int, None), ("dim", 3, int, None),
+)
 
 
 def _bench_case(seed: int, dim: int):
@@ -326,11 +362,11 @@ def _expm_reference(ops, a, x0, horizon):
 
 
 def _cmd_bench_solver(args) -> int:
-    cfg = _resolve(args, _BENCH_SCHEMA)
+    cfg = _resolve(args)
     taus = _parse_list(cfg["taus"])
     tols = _parse_list(cfg["tols"])
-    horizon = float(cfg["horizon"])
-    ops, a, x0 = _bench_case(int(cfg["seed"]), int(cfg["dim"]))
+    horizon = cfg["horizon"]
+    ops, a, x0 = _bench_case(cfg["seed"], cfg["dim"])
     ref = _expm_reference(ops, a, x0, horizon)
 
     t0 = time.perf_counter()
@@ -380,20 +416,21 @@ def _cmd_bench_solver(args) -> int:
     return 0
 
 
-_SPECTRUM_SCHEMA = {
-    "dataset": None, "modulation": "uniform", "seed": 0, "dim": 4,
-    "iters": 500, "tol": 1e-12,
-}
+_SPECTRUM_OPTIONS = (
+    ("dataset", None, str, None), ("modulation", "uniform", str, _MODULATIONS),
+    ("seed", 0, int, None), ("dim", 4, int, None), ("iters", 500, int, None),
+    ("tol", 1e-12, float, None),
+)
 
 
 def _cmd_spectrum(args) -> int:
-    cfg = _resolve(args, _SPECTRUM_SCHEMA)
+    cfg = _resolve(args)
     if not cfg["dataset"]:
         raise ValueError("spectrum requires a dataset path")
     ds = _load_dataset(cfg["dataset"], cfg)
     ops = as_operators(ds.hypergraph)
     a = _weights_fn(ops, _modulation(cfg, ops, ds.features.shape[1]))(ds.features)
-    lam, converged = spectral_radius(ops, a, iters=int(cfg["iters"]), tol=float(cfg["tol"]))
+    lam, converged = spectral_radius(ops, a, iters=cfg["iters"], tol=cfg["tol"])
     body = {
         "library_version": __version__,
         "command": "spectrum",
@@ -412,12 +449,6 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _parse_list(text, cast=float) -> list:
-    if isinstance(text, (list, tuple)):
-        return [cast(x) for x in text]
-    return [cast(tok) for tok in str(text).split(",") if tok.strip()]
-
-
 # ---------------------------------------------------------------- parser
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -429,94 +460,29 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("path")
     v.set_defaults(fn=_cmd_validate)
 
-    s = sub.add_parser("sbm", help="generate a synthetic two-class dataset")
-    s.add_argument("--config")
-    s.add_argument("--nodes-per-class", dest="nodes_per_class", type=int)
-    s.add_argument("--edges", type=int)
-    s.add_argument("--edge-size", dest="edge_size", type=int)
-    s.add_argument("--alpha", type=int)
-    s.add_argument("--feature-dim", dest="feature_dim", type=int)
-    s.add_argument("--sigma", type=float)
-    s.add_argument("--seed", type=int)
-    s.add_argument("--out")
-    s.set_defaults(fn=_cmd_sbm)
-
-    d = sub.add_parser("diffuse", help="integrate the diffusion flow and report diagnostics")
-    d.add_argument("--config")
-    d.add_argument("--dataset")
-    d.add_argument("--scheme", choices=["explicit_euler", "implicit_euler", "rk4", "ab4", "am4", "adaptive"])
-    d.add_argument("--tau", type=float)
-    d.add_argument("--horizon", type=float)
-    d.add_argument("--steps", type=int)
-    d.add_argument("--modulation", choices=["uniform", "softmax"])
-    d.add_argument("--variant", choices=["l", "nl"])
-    d.add_argument("--seed", type=int)
-    d.add_argument("--dim", type=int)
-    d.add_argument("--fp-tol", dest="fp_tol", type=float)
-    d.add_argument("--fp-max-iter", dest="fp_max_iter", type=int)
-    d.add_argument("--tol", type=float)
-    d.add_argument("--tau-min", dest="tau_min", type=float)
-    d.add_argument("--dump-states", dest="dump_states", action="store_const", const=True)
-    d.add_argument("--out")
-    d.set_defaults(fn=_cmd_diffuse)
-
-    def add_train_flags(t):
-        t.add_argument("--config")
-        t.add_argument("--dataset")
-        t.add_argument("--lr", type=float)
-        t.add_argument("--weight-decay", dest="weight_decay", type=float)
-        t.add_argument("--dropout", type=float)
-        t.add_argument("--hidden", type=int)
-        t.add_argument("--horizon", type=float)
-        t.add_argument("--tau", type=float)
-        t.add_argument("--variant", choices=["l", "nl"])
-        t.add_argument("--scheme")
-        t.add_argument("--epochs", type=int)
-        t.add_argument("--seed", type=int)
-        t.add_argument("--splits", type=int)
-        t.add_argument("--agg", choices=["mean", "max"])
-        t.add_argument("--standardize", action="store_const", const=True)
-        t.add_argument("--no-standardize", dest="standardize", action="store_const", const=False)
-        t.add_argument("--noise", choices=["gaussian", "uniform", "mask", "structure"])
-        t.add_argument("--rates")
-        t.add_argument("--nodes-per-class", dest="nodes_per_class", type=int)
-        t.add_argument("--edges", type=int)
-        t.add_argument("--edge-size", dest="edge_size", type=int)
-        t.add_argument("--alpha", type=int)
-        t.add_argument("--feature-dim", dest="feature_dim", type=int)
-        t.add_argument("--sigma", type=float)
-        t.add_argument("--out")
-
-    t = sub.add_parser("train", help="train and evaluate over seeded splits")
-    add_train_flags(t)
-    t.add_argument("--layers", help="comma-separated depth sweep, e.g. 2,4,10")
-    t.set_defaults(fn=_cmd_train)
-
-    bn = sub.add_parser("bench-noise", help="accuracy-versus-noise-rate curve")
-    add_train_flags(bn)
-    bn.set_defaults(fn=_cmd_bench_noise)
-
-    b = sub.add_parser("bench-solver", help="integrator convergence against the matrix exponential")
-    b.add_argument("--config")
-    b.add_argument("--taus")
-    b.add_argument("--tols")
-    b.add_argument("--horizon", type=float)
-    b.add_argument("--seed", type=int)
-    b.add_argument("--dim", type=int)
-    b.add_argument("--out")
-    b.set_defaults(fn=_cmd_bench_solver)
-
-    sp = sub.add_parser("spectrum", help="spectral radius of the modulated operator")
-    sp.add_argument("--config")
-    sp.add_argument("--dataset")
-    sp.add_argument("--modulation", choices=["uniform", "softmax"])
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--dim", type=int)
-    sp.add_argument("--iters", type=int)
-    sp.add_argument("--tol", type=float)
-    sp.add_argument("--out")
-    sp.set_defaults(fn=_cmd_spectrum)
-
+    for name, help_text, fn, options in (
+        ("sbm", "generate a synthetic two-class dataset", _cmd_sbm, _SBM_OPTIONS),
+        ("diffuse", "integrate the diffusion flow and report diagnostics",
+         _cmd_diffuse, _DIFFUSE_OPTIONS),
+        ("train", "train and evaluate over seeded splits", _cmd_train, _TRAIN_OPTIONS),
+        ("bench-noise", "accuracy-versus-noise-rate curve", _cmd_train, _BENCH_NOISE_OPTIONS),
+        ("bench-solver", "integrator convergence against the matrix exponential",
+         _cmd_bench_solver, _BENCH_SOLVER_OPTIONS),
+        ("spectrum", "spectral radius of the modulated operator",
+         _cmd_spectrum, _SPECTRUM_OPTIONS),
+    ):
+        s = sub.add_parser(name, help=help_text)
+        s.set_defaults(fn=fn, options=options)
+        s.add_argument("--config")
+        for key, default, kind, choices in options:
+            flag = "--" + key.replace("_", "-")
+            if kind is bool:
+                s.add_argument(flag, action="store_const", const=True)
+                if default:
+                    s.add_argument("--no-" + flag[2:], dest=key, action="store_const", const=False)
+            elif key != "ratios":  # ratios is config-only; list flags keep their comma text
+                s.add_argument(flag, type=None if isinstance(kind, list) else kind, choices=choices)
+        s.add_argument("--out")
     return p
 
 

@@ -102,6 +102,18 @@ def _dropout_mask(shape, rate: float, seed: int) -> np.ndarray:
     return keep / (1.0 - rate)
 
 
+def _encode(params: ModelParams, features: np.ndarray, input_dropout: float,
+            dropout_seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (dropped-out) encoder input and the encoded state x0 = X w_in."""
+    if features.shape[1] != params.w_in.shape[0]:
+        raise ShapeMismatch(
+            f"features have {features.shape[1]} columns, encoder expects {params.w_in.shape[0]}"
+        )
+    if input_dropout > 0.0:
+        features = features * _dropout_mask(features.shape, input_dropout, dropout_seed)
+    return features, features @ params.w_in
+
+
 def forward(params: ModelParams, dataset: Dataset, spec: SolverSpec, variant: str,
             train_mode: bool = False, input_dropout: float = 0.0,
             dropout_seed: int = 0, agg: str = "mean") -> np.ndarray:
@@ -114,14 +126,7 @@ def forward(params: ModelParams, dataset: Dataset, spec: SolverSpec, variant: st
     if variant not in _PASSES:
         raise ValueError(f"variant must be 'l' or 'nl', got {variant!r}")
     ops = as_operators(dataset.hypergraph)
-    X_in = dataset.features
-    if X_in.shape[1] != params.w_in.shape[0]:
-        raise ShapeMismatch(
-            f"features have {X_in.shape[1]} columns, encoder expects {params.w_in.shape[0]}"
-        )
-    if train_mode and input_dropout > 0.0:
-        X_in = X_in * _dropout_mask(X_in.shape, input_dropout, dropout_seed)
-    x0 = X_in @ params.w_in
+    _, x0 = _encode(params, dataset.features, input_dropout if train_mode else 0.0, dropout_seed)
     if spec.steps == 0:
         return x0 @ params.w_out
     a_fn = softmax_modulation_fn(params.attention, ops, agg)
@@ -152,11 +157,7 @@ def loss_and_gradients(params: ModelParams, dataset: Dataset, train_mask: np.nda
     if variant not in _PASSES:
         raise ValueError(f"variant must be 'l' or 'nl', got {variant!r}")
     ops = as_operators(dataset.hypergraph)
-
-    X_in = dataset.features
-    if input_dropout > 0.0:
-        X_in = X_in * _dropout_mask(X_in.shape, input_dropout, dropout_seed)
-    x0 = X_in @ params.w_in
+    X_in, x0 = _encode(params, dataset.features, input_dropout, dropout_seed)
     logits, backward = _PASSES[variant](params, ops, x0, spec.tau, spec.steps, agg)
 
     # masked cross-entropy

@@ -93,6 +93,17 @@ def test_forward_shape_mismatch():
         forward(params, bad, spec, "l")
 
 
+@pytest.mark.parametrize("variant", ["l", "nl"])
+@pytest.mark.parametrize("dropout", [0.0, 0.5])
+def test_loss_and_gradients_shape_mismatch(variant, dropout):
+    # 9 feature columns against a 5-row encoder, as in forward's check
+    ds, params, spec, mask = small_instance()
+    bad = Dataset(hypergraph=ds.hypergraph, features=np.zeros((ds.hypergraph.n, 9)),
+                  labels=ds.labels, class_count=ds.class_count)
+    with pytest.raises(ShapeMismatch, match="9 columns, encoder expects 5"):
+        loss_and_gradients(params, bad, mask, spec, variant, input_dropout=dropout)
+
+
 def test_loss_uniform_logits_is_log_classcount():
     ds, params, spec, mask = small_instance()
     params.w_out[:] = 0.0  # forces logits == 0 -> uniform softmax
