@@ -44,6 +44,7 @@ from .solvers import (
     _weights_fn,
     integrate,
     integrate_adaptive,
+    step_count,
     trajectory_to_csv,
     trajectory_states_to_binary,
 )
@@ -211,7 +212,7 @@ def _cmd_diffuse(args) -> int:
     ds = _load_dataset(cfg["dataset"], cfg)
     ops = as_operators(ds.hypergraph)
     tau = cfg["tau"]
-    steps = cfg["steps"] if cfg["horizon"] is None else int(round(cfg["horizon"] / tau))
+    steps = cfg["steps"] if cfg["horizon"] is None else step_count(cfg["horizon"], tau)
     policy = "frozen" if cfg["variant"] == "l" else "recompute_each_step"
     spec = SolverSpec(
         scheme=cfg["scheme"], tau=tau, steps=steps, modulation_policy=policy,
@@ -366,6 +367,9 @@ def _cmd_bench_solver(args) -> int:
     taus = _parse_list(cfg["taus"])
     tols = _parse_list(cfg["tols"])
     horizon = cfg["horizon"]
+    if not (taus and all(0 < tau < np.inf for tau in taus)):
+        raise ValueError(f"taus must list finite positive step sizes, got {cfg['taus']!r}")
+    steps = [step_count(horizon, tau) for tau in taus]
     ops, a, x0 = _bench_case(cfg["seed"], cfg["dim"])
     ref = _expm_reference(ops, a, x0, horizon)
 
@@ -375,9 +379,8 @@ def _cmd_bench_solver(args) -> int:
     def run_row(scheme):
         errors = []
         evals = []
-        for tau in taus:
-            steps = int(round(horizon / tau))
-            spec = SolverSpec(scheme=scheme, tau=tau, steps=steps,
+        for tau, n_steps in zip(taus, steps):
+            spec = SolverSpec(scheme=scheme, tau=tau, steps=n_steps,
                               modulation_policy="frozen", fp_tol=1e-12)
             traj = integrate(ops, a, x0, spec)
             errors.append(float(np.linalg.norm(traj.states[-1] - ref)))

@@ -2,10 +2,12 @@
 
 Each pair (e, v) gets a scalar score from a small neural map applied to
 the projected node feature and the projected aggregate of the edge's
-member features; scores are then normalized per node with a softmax so
-that the weights are strictly positive and sum to one over each node's
-incident edges. The resulting length-N vector is the diagonal of the
-modulation matrix that makes diffusion anisotropic.
+member features; its first layer has a node half and an edge half,
+each applied once per node or edge and gathered to the pairs, so no
+(N, 2d) pair input is built. Scores are normalized per node with a
+softmax so that the weights are strictly positive and sum to one over
+each node's incident edges. The resulting length-N vector is the
+diagonal of the modulation matrix that makes diffusion anisotropic.
 
 Forward/backward pairs for the score path live here so the training
 module can differentiate through the full modulation computation.
@@ -113,43 +115,41 @@ def edge_features(X: np.ndarray, hg, agg: str = "mean") -> np.ndarray:
 
 def scores_forward(params: AttentionParams, X: np.ndarray, ops: HypergraphOperators,
                    agg: str = "mean"):
-    """Per-pair similarity scores plus the cache needed for backprop."""
+    """Per-pair similarity scores plus the cache needed for backprop. The
+    first layer, ``hidden_w`` = [W_n | W_e], runs on node and edge rows."""
     X = np.asarray(X, dtype=np.float64)
     E = edge_features(X, ops, agg)
     proj_n = X @ params.projection.T
     proj_e = E @ params.projection.T
-    Z = np.concatenate([np.take(proj_n, ops.pair_node, axis=0),
-                        np.take(proj_e, ops.pair_edge, axis=0)], axis=1)
-    pre_h = Z @ params.hidden_w.T + params.hidden_b
+    w_n, w_e = np.split(params.hidden_w, 2, axis=1)
+    pre_h = np.take(proj_n @ w_n.T, ops.pair_node, axis=0)
+    pre_h += np.take(proj_e @ w_e.T + params.hidden_b, ops.pair_edge, axis=0)
     H = _leaky(pre_h, params.leaky_slope)
     pre_o = H @ params.out_w + params.out_b[0]
     s = _leaky(pre_o, params.leaky_slope)
-    cache = (X, E, Z, pre_h, H, pre_o, agg)
+    cache = (X, E, proj_n, proj_e, pre_h, H, pre_o, agg)
     return s, cache
 
 
 def scores_backward(params: AttentionParams, ops: HypergraphOperators, cache, ds: np.ndarray):
-    """Vector-Jacobian product of the score map.
-
-    Returns (AttentionParams-shaped gradients, dX).
-    """
-    X, E, Z, pre_h, H, pre_o, agg = cache
+    """Vector-Jacobian product of the score map: (AttentionParams-shaped
+    gradients, dX). The first layer's pair gradient is summed per node and
+    per edge before it meets ``hidden_w``."""
+    X, E, proj_n, proj_e, pre_h, H, pre_o, agg = cache
     slope = params.leaky_slope
-    d = params.projection.shape[0]
 
     d_pre_o = ds * _leaky_grad(pre_o, slope)
     g_out_w = H.T @ d_pre_o
     g_out_b = np.array([d_pre_o.sum()])
     dH = d_pre_o[:, None] * params.out_w
     d_pre_h = dH * _leaky_grad(pre_h, slope)
-    g_hidden_w = d_pre_h.T @ Z
-    g_hidden_b = d_pre_h.sum(axis=0)
-    dZ = d_pre_h @ params.hidden_w
-
-    d_proj_n_pairs = dZ[:, :d]
-    d_proj_e_pairs = dZ[:, d:]
-    d_proj_n = ops.node_sum(d_proj_n_pairs)
-    d_proj_e = ops.edge_sum(d_proj_e_pairs)
+    dn = ops.node_sum(d_pre_h)
+    de = ops.edge_sum(d_pre_h)
+    g_hidden_w = np.concatenate([dn.T @ proj_n, de.T @ proj_e], axis=1)
+    g_hidden_b = de.sum(axis=0)
+    w_n, w_e = np.split(params.hidden_w, 2, axis=1)
+    d_proj_n = dn @ w_n
+    d_proj_e = de @ w_e
 
     g_projection = d_proj_n.T @ X + d_proj_e.T @ E
     dX = d_proj_n @ params.projection

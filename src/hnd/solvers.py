@@ -44,6 +44,16 @@ def _require_positive(**fields) -> None:
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
+def step_count(horizon: float, tau: float) -> int:
+    """The number of tau-steps nearest ``horizon``; a ValueError naming
+    ``tau`` or ``horizon`` when that is not a finite non-negative count."""
+    _require_positive(tau=tau)
+    if not (horizon >= 0 and math.isfinite(horizon / tau)):
+        raise ValueError(f"horizon must be a finite non-negative number of tau-steps,"
+                         f" got {horizon!r} at tau={tau!r}")
+    return int(round(horizon / tau))
+
+
 @dataclass
 class AdaptiveSpec:
     """Step-size controller parameters for the embedded 3(2) pair."""
@@ -106,15 +116,22 @@ def _weights_fn(ops, a):
 
     A vector is checked once, when it is wrapped, and each result of a
     callable when it is returned: anything but a finite non-negative
-    vector of shape (N,) raises ShapeMismatch.
+    vector of shape (N,) raises ShapeMismatch. A callable this function
+    returned for the same ``ops`` is returned as it is, so a step
+    function handed ``integrate``'s callable checks nothing again.
     """
+    if getattr(a, "weights_for", None) is ops:
+        return a
     if callable(a):
-        return lambda x: _weights_fn(ops, a(x))(x)
-    vec = a.values if isinstance(a, ModulationWeights) else np.asarray(a, dtype=np.float64)
-    if vec.shape != (ops.N,) or not (vec.min() >= 0 and math.isfinite(vec.max())):
-        raise ShapeMismatch(
-            f"modulation weights must be finite, non-negative and of shape ({ops.N},)")
-    return lambda x: vec
+        fn = lambda x: _weights_fn(ops, a(x))(x)
+    else:
+        vec = a.values if isinstance(a, ModulationWeights) else np.asarray(a, dtype=np.float64)
+        if vec.shape != (ops.N,) or not (vec.min() >= 0 and math.isfinite(vec.max())):
+            raise ShapeMismatch(
+                f"modulation weights must be finite, non-negative and of shape ({ops.N},)")
+        fn = lambda x: vec
+    fn.weights_for = ops
+    return fn
 
 
 def rhs(hg, a, x: np.ndarray) -> np.ndarray:

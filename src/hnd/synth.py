@@ -44,6 +44,8 @@ def generate_sbm(
     uniformly chosen minority class and ``edge_size - alpha`` from the
     other. Fully deterministic given ``seed``.
     """
+    if feature_dim < 1:
+        raise ValueError(f"feature_dim must be >= 1, got {feature_dim}")
     if not 1 <= alpha <= edge_size // 2:
         raise InvalidAlpha(f"alpha must lie in [1, {edge_size // 2}], got {alpha}")
     if nodes_per_class < edge_size:

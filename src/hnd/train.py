@@ -29,7 +29,7 @@ from .errors import InvalidRatios, ResultingIsolatedNode
 from .hypergraph import Dataset
 from .model import ModelParams, forward, loss_and_gradients
 from .rng import make_rng
-from .solvers import SolverSpec
+from .solvers import SolverSpec, step_count
 from .synth import perturb_features, perturb_structure
 
 # seed derivation offsets (documented; arbitrary large primes)
@@ -144,6 +144,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.hidden_dim < 1:
+            raise ValueError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
+        step_count(self.horizon, self.tau)  # a ValueError naming tau or horizon
         if self.variant not in ("l", "nl"):
             raise ValueError(f"variant must be 'l' or 'nl', got {self.variant!r}")
         if not 0.0 <= self.input_dropout < 1.0:
@@ -156,7 +159,7 @@ class TrainConfig:
 
     @property
     def steps(self) -> int:
-        return int(round(self.horizon / self.tau))
+        return step_count(self.horizon, self.tau)
 
     def solver_spec(self) -> SolverSpec:
         return SolverSpec(scheme=self.scheme, tau=self.tau, steps=self.steps)

@@ -359,6 +359,29 @@ for argv, field in {cases!r}:
     assert not os.path.exists(str(tmp_path / "o"))
 
 
+@pytest.mark.parametrize("argv,field", [
+    (["diffuse", "--tau", "0", "--horizon", "1"], "tau"),
+    (["diffuse", "--horizon", "inf"], "horizon"),
+    (["train", *TRAIN_ARGS, "--tau", "0"], "tau"),
+    (["train", *TRAIN_ARGS, "--horizon", "inf"], "horizon"),
+    (["train", *TRAIN_ARGS, "--hidden", "0"], "hidden_dim"),
+    (["train", *TRAIN_ARGS, "--feature-dim", "0"], "feature_dim"),
+    (["bench-solver", "--taus", "0"], "taus"),
+    (["bench-solver", "--taus", ""], "taus"),
+], ids=["diffuse-tau-0", "diffuse-horizon-inf", "train-tau-0", "train-horizon-inf",
+        "train-hidden-0", "train-feature-dim-0", "bench-solver-taus-0", "bench-solver-taus-empty"])
+def test_degenerate_step_and_width_flags_exit_2_before_output(
+        tmp_path, h0_dataset_file, capsys, argv, field):
+    # each once ended in a ZeroDivisionError, OverflowError or TypeError
+    if argv[0] == "diffuse":
+        argv = [*argv, "--dataset", h0_dataset_file]
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"ValueError: {field} must" in captured.err, captured.err
+    assert not out.exists()
+
+
 SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
 
 

@@ -95,6 +95,90 @@ def test_scores_parameter_gradients_match_fd(h0_ops):
             assert abs(g[idx] - fd) <= 1e-6 * max(1.0, abs(fd)), (name, idx)
 
 
+@pytest.mark.parametrize("agg", ["mean", "max"])
+def test_scores_input_gradient_matches_fd(h0_ops, agg):
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((3, 4))
+    params = AttentionParams.init(4, seed=11)
+    u = rng.standard_normal(h0_ops.N)
+
+    _, cache = scores_forward(params, X, h0_ops, agg)
+    _, dX = scores_backward(params, h0_ops, cache, u)
+
+    h = 1e-6
+    for idx in np.ndindex(*X.shape):
+        Xp = X.copy(); Xp[idx] += h
+        Xm = X.copy(); Xm[idx] -= h
+        fd = float(u @ (similarity_scores(params, Xp, h0_ops, agg)
+                        - similarity_scores(params, Xm, h0_ops, agg))) / (2 * h)
+        assert abs(dX[idx] - fd) <= 1e-6 * max(1.0, abs(fd)), idx
+
+
+def _concatenated_score_map(params, X, ops, agg, ds):
+    """The scoring map as one (N, 2d) first layer over Z = [P x_v | P e_e],
+    and its vector-Jacobian product, written out pair by pair."""
+    leaky = lambda v: np.where(v >= 0, v, params.leaky_slope * v)
+    slope = lambda v: np.where(v >= 0, 1.0, params.leaky_slope)
+    P = params.projection
+    E = edge_features(X, ops, agg)
+    Z = np.concatenate([(X @ P.T)[ops.pair_node], (E @ P.T)[ops.pair_edge]], axis=1)
+    pre_h = Z @ params.hidden_w.T + params.hidden_b
+    H = leaky(pre_h)
+    pre_o = H @ params.out_w + params.out_b[0]
+
+    d_pre_o = ds * slope(pre_o)
+    d_pre_h = d_pre_o[:, None] * params.out_w * slope(pre_h)
+    dZ = d_pre_h @ params.hidden_w
+    d = P.shape[0]
+    d_proj_n = np.zeros((ops.n, d))
+    d_proj_e = np.zeros((ops.m, d))
+    np.add.at(d_proj_n, ops.pair_node, dZ[:, :d])
+    np.add.at(d_proj_e, ops.pair_edge, dZ[:, d:])
+    dE = d_proj_e @ P
+    dX = d_proj_n @ P
+    for e in range(ops.m):
+        members = ops.pair_node[ops.edge_ptr[e]:ops.edge_ptr[e + 1]]
+        if agg == "mean":
+            dX[members] += dE[e] / len(members)
+            continue
+        for j in range(d):  # max: the first member attaining it takes the gradient
+            first = members[np.flatnonzero(X[members, j] == E[e, j])[0]]
+            dX[first, j] += dE[e, j]
+    grads = {
+        "projection": d_proj_n.T @ X + d_proj_e.T @ E,
+        "hidden_w": d_pre_h.T @ Z,
+        "hidden_b": d_pre_h.sum(axis=0),
+        "out_w": H.T @ d_pre_o,
+        "out_b": np.array([d_pre_o.sum()]),
+    }
+    return leaky(pre_o), grads, dX
+
+
+@pytest.mark.parametrize("agg", ["mean", "max"])
+def test_factored_score_map_matches_concatenated_first_layer(agg):
+    from hnd.hypergraph import Hypergraph
+
+    # node 5 lies in one edge; {2, 3} is the smallest edge a Hypergraph admits
+    hg = Hypergraph(n=6, edges=((0, 1, 2), (2, 3), (1, 3, 4, 5), (0, 4)),
+                    weights=(1.0, 0.5, 2.0, 1.5))
+    ops = HypergraphOperators(hg)
+    rng = np.random.default_rng(12)
+    X = rng.standard_normal((6, 5))
+    params = AttentionParams.init(5, seed=13)
+    ds = rng.standard_normal(ops.N)
+
+    s, cache = scores_forward(params, X, ops, agg)
+    grads, dX = scores_backward(params, ops, cache, ds)
+    s_ref, grads_ref, dX_ref = _concatenated_score_map(params, X, ops, agg, ds)
+
+    def close(got, want):
+        return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert close(s, s_ref) and close(dX, dX_ref)
+    for name, want in grads_ref.items():
+        assert close(getattr(grads, name), want), name
+    assert not any(np.shape(item) == (ops.N, 10) for item in cache)
+
+
 def test_modulation_weights_validation():
     with pytest.raises(Exception):
         ModulationWeights(values=np.array([1.0, -0.5]))

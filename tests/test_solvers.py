@@ -8,6 +8,7 @@ import pytest
 from scipy.linalg import expm
 
 import hnd
+from hnd import solvers
 from hnd.diagnostics import energy, energy_monotonicity, spectral_radius
 from hnd.errors import NoConvergence, ShapeMismatch, StepUnderflow, TooFewSteps
 from hnd.modulation import (
@@ -457,6 +458,27 @@ def test_direct_calls_evaluate_callable_per_rhs_eval(scheme):
     ref = integrate(ops, a.fn, x0, spec)
     assert len(direct.states) == len(ref.states)
     assert all(np.array_equal(s, r) for s, r in zip(direct.states, ref.states))
+
+
+@pytest.mark.parametrize("scheme,steps", [("explicit_euler", 30), ("rk4", 10)])
+def test_weight_vectors_are_checked_once(monkeypatch, scheme, steps):
+    ops, x0 = _policy_case()
+    checked = []
+    weights_fn = solvers._weights_fn
+
+    def counting(ops, a):
+        if not callable(a):
+            checked.append(a)
+        return weights_fn(ops, a)
+
+    monkeypatch.setattr(solvers, "_weights_fn", counting)
+    integrate(ops, uniform_modulation(ops), x0, SolverSpec(scheme=scheme, steps=steps, tau=0.5))
+    assert len(checked) == 2  # the weights given, and the copy frozen at x0
+    checked.clear()
+    a = _Counting(ops, x0.shape[1])
+    traj = integrate(ops, a, x0, SolverSpec(scheme=scheme, steps=steps, tau=0.5,
+                                            modulation_policy="recompute_each_step"))
+    assert len(checked) == a.calls == traj.rhs_evals
 
 
 def test_solver_spec_rejects_non_finite_settings():
