@@ -223,8 +223,9 @@ def _cmd_diffuse(args) -> int:
     x0 = ds.features
     a = _modulation(cfg, ops, x0.shape[1])
     traj = integrate(ops, a, x0, spec)
-    a0 = _weights_fn(ops, a)(x0)
-    report = energy_monotonicity(ops, traj, a0 if policy == "frozen" else a)
+    # implicit Euler records the weights at every state, which saves evaluating them again
+    a0 = traj.weights[0] if traj.weights else _weights_fn(ops, a)(x0)
+    report = energy_monotonicity(ops, traj, a0 if policy == "frozen" else (traj.weights or a))
     bounds = max_principle(ops, traj)
     lam, converged = spectral_radius(ops, a0)
 
@@ -367,8 +368,10 @@ def _cmd_bench_solver(args) -> int:
     taus = _parse_list(cfg["taus"])
     tols = _parse_list(cfg["tols"])
     horizon = cfg["horizon"]
-    if not (taus and all(0 < tau < np.inf for tau in taus)):
-        raise ValueError(f"taus must list finite positive step sizes, got {cfg['taus']!r}")
+    # a convergence slope needs two distinct step sizes to fit a line through
+    if not (len(set(taus)) >= 2 and all(0 < tau < np.inf for tau in taus)):
+        raise ValueError("taus must list at least two distinct finite positive step sizes,"
+                         f" got {cfg['taus']!r}")
     steps = [step_count(horizon, tau) for tau in taus]
     ops, a, x0 = _bench_case(cfg["seed"], cfg["dim"])
     ref = _expm_reference(ops, a, x0, horizon)

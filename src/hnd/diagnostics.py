@@ -76,13 +76,19 @@ def energy(hg, a, x: np.ndarray) -> float:
 def energy_monotonicity(hg, traj: Trajectory, a, rel_tol: float = 1e-10) -> EnergyReport:
     """Energy at every trajectory state, flagging relative increases.
 
-    ``a`` is fixed weights or a callable ``x -> weights``; the callable
-    form measures each state with its own modulation (the
-    recompute-each-step convention).
+    ``a`` is fixed weights, a callable ``x -> weights``, or a list of one
+    weight vector per state, such as the ``Trajectory.weights`` a run
+    recorded. The callable and list forms measure each state with its
+    own modulation (the recompute-each-step convention).
     """
     ops = as_operators(hg)
-    a_fn = _weights_fn(ops, a)
-    vals = np.array([energy(ops, a_fn(s), s) for s in traj.states])
+    if isinstance(a, list):
+        if len(a) != len(traj.states):
+            raise ShapeMismatch(f"{len(a)} weight vectors for {len(traj.states)} states")
+        per_state = a
+    else:
+        per_state = map(_weights_fn(ops, a), traj.states)
+    vals = np.array([energy(ops, w, s) for w, s in zip(per_state, traj.states)])
     first = None
     worst = 0.0
     for k in range(1, len(vals)):
@@ -117,27 +123,38 @@ def max_principle(hg, traj: Trajectory) -> BoundsReport:
 
 def spectral_radius(hg, a, iters: int = 200, tol: float = 1e-10,
                     seed: int = 0) -> tuple[float, bool]:
-    """Power-iteration estimate of the largest eigenvalue of G^T diag(a) G.
+    """Lanczos estimate of the largest eigenvalue of G^T diag(a) G.
 
     ``a`` is fixed weights. The operator is positive semi-definite, so
-    the dominant eigenvalue equals the spectral radius. Returns
-    (estimate, converged).
+    its largest eigenvalue is the spectral radius. Lanczos with full
+    reorthogonalization (Golub & Van Loan, *Matrix Computations*, ch. 10)
+    runs from a seeded random start for at most ``iters`` applies. The
+    estimate is the largest Ritz value; it has converged when it moves by
+    at most tol * max(1, estimate) in one iteration, or when the Krylov
+    space is invariant: the next basis vector's norm is that small, or
+    the basis spans all n dimensions. Returns (estimate, converged).
     """
     ops = as_operators(hg)
     vec = _weights_fn(ops, a)(None)
     if iters < 1:
         raise ValueError("iters must be >= 1")
     v = make_rng(seed).standard_normal(ops.n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
+    basis, alphas, betas = [v / np.linalg.norm(v)], [], []
+    lam = None
     for _ in range(iters):
-        w = ops.quad_apply(vec, v)
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0, True
-        lam_new = float(v @ w)
-        v = w / norm
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
+        w = ops.quad_apply(vec, basis[-1])
+        alphas.append(basis[-1] @ w)
+        V = np.array(basis)
+        for _ in range(2):  # Gram-Schmidt twice keeps the basis orthogonal to rounding
+            w -= V.T @ (V @ w)
+        beta = float(np.linalg.norm(w))
+        T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+        lam_new = float(np.linalg.eigvalsh(T)[-1])
+        scale = tol * max(1.0, abs(lam_new))
+        if beta <= scale or len(basis) == ops.n or (
+                lam is not None and abs(lam_new - lam) <= scale):
             return lam_new, True
         lam = lam_new
+        basis.append(w / beta)
+        betas.append(beta)
     return lam, False

@@ -57,33 +57,56 @@ class Hypergraph:
             )
         canonical = tuple(tuple(sorted(map(int, members))) for members in self.edges)
         # every node needs a pair of its own, so check before allocating n flags
-        pairs = sum(map(len, canonical))
+        sizes = np.fromiter(map(len, canonical), dtype=np.int64, count=len(canonical))
+        pairs = int(sizes.sum())
         if self.n > pairs:
             raise IsolatedNode(f"{self.n} nodes cannot all belong to edges with {pairs} members")
-        for i, ms in enumerate(canonical):
-            if len(ms) < 2:
-                raise DegenerateEdge(f"edge {i} has cardinality {len(ms)} < 2")
-            if len(set(ms)) != len(ms):
-                raise DegenerateEdge(f"edge {i} contains duplicate node ids")
-            if ms[0] < 0 or ms[-1] >= self.n:
-                raise NodeIdOutOfRange(
-                    f"edge {i} references node outside [0, {self.n})"
-                )
+        try:
+            members = np.fromiter(chain.from_iterable(canonical), dtype=np.int64, count=pairs)
+        except OverflowError:  # an id beyond int64 is out of range; the loop names its edge
+            members = None
+        if members is None or not _edges_valid(self.n, sizes, members):
+            for i, ms in enumerate(canonical):  # the first fault, in edge order
+                if len(ms) < 2:
+                    raise DegenerateEdge(f"edge {i} has cardinality {len(ms)} < 2")
+                if len(set(ms)) != len(ms):
+                    raise DegenerateEdge(f"edge {i} contains duplicate node ids")
+                if ms[0] < 0 or ms[-1] >= self.n:
+                    raise NodeIdOutOfRange(
+                        f"edge {i} references node outside [0, {self.n})"
+                    )
         weights = tuple(map(float, self.weights))
-        for i, w in enumerate(weights):
-            if not 0.0 < w < math.inf:
-                raise NonPositiveWeight(f"edge {i} has weight {w}")
+        w = np.array(weights)
+        bad = np.flatnonzero(~((w > 0.0) & (w < math.inf)))
+        if bad.size:
+            raise NonPositiveWeight(f"edge {bad[0]} has weight {weights[bad[0]]}")
         covered = np.zeros(self.n, dtype=bool)
-        covered[np.fromiter(chain.from_iterable(canonical), dtype=np.int64, count=pairs)] = True
+        covered[members] = True
         if not covered.all():
             missing = int(np.flatnonzero(~covered)[0])
             raise IsolatedNode(f"node {missing} belongs to no hyperedge")
+        members.flags.writeable = False
         object.__setattr__(self, "edges", canonical)
         object.__setattr__(self, "weights", weights)
+        # not a field, so equality and hashing ignore it, as they do the workspace cache
+        object.__setattr__(self, "_members", (members, sizes))
 
     @property
     def m(self) -> int:
         return len(self.edges)
+
+
+def _edges_valid(n: int, sizes: np.ndarray, members: np.ndarray) -> bool:
+    """Whether every edge has at least two distinct members, all in [0, n).
+
+    ``members`` is the flat member array, sorted within each edge, so a
+    repeated id sits next to its twin.
+    """
+    if sizes.min() < 2 or members.min() < 0 or members.max() >= n:
+        return False
+    repeat = members[1:] == members[:-1]
+    repeat[np.cumsum(sizes)[:-1] - 1] = False  # neighbours in two different edges
+    return not repeat.any()
 
 
 @dataclass(frozen=True)
@@ -128,6 +151,8 @@ class Dataset:
             raise ShapeMismatch(
                 f"features must be ({n}, d), got {self.features.shape}"
             )
+        if self.features.shape[1] == 0:
+            raise MalformedDocument("features have zero columns")
         if not np.isfinite(self.features).all():
             raise MalformedDocument("features contain NaN or infinite values")
         if self.labels.shape != (n,):
@@ -138,16 +163,14 @@ class Dataset:
 
 def pair_index(hg: Hypergraph) -> PairIndex:
     """Enumerate hyperedge-node pairs in the canonical order."""
-    sizes = [len(e) for e in hg.edges]
+    members, sizes = hg._members
     edge_id = np.repeat(np.arange(hg.m, dtype=np.int64), sizes)
-    node_id = np.concatenate([np.asarray(e, dtype=np.int64) for e in hg.edges])
-    return PairIndex(edge_id=edge_id, node_id=node_id, N=int(edge_id.size))
+    return PairIndex(edge_id=edge_id, node_id=members, N=int(members.size))
 
 
 def degrees(hg: Hypergraph) -> Degrees:
     """Weighted node degrees and edge sizes."""
-    sizes = np.array([len(e) for e in hg.edges], dtype=np.int64)
-    members = np.fromiter(chain.from_iterable(hg.edges), dtype=np.int64, count=int(sizes.sum()))
+    members, sizes = hg._members
     # bincount adds each node's weights in edge order, as a loop over edges would
     d = np.bincount(members, weights=np.repeat(hg.weights, sizes), minlength=hg.n)
     return Degrees(d_v=d, edge_size=sizes)

@@ -17,7 +17,11 @@ The implicit Euler step runs an outer fixed-point loop on the
 modulation combined with an inner conjugate-gradient solve of the
 symmetric positive definite system (I + tau G^T A G) y = x; plain
 fixed-point iteration on the whole map diverges once tau exceeds the
-reciprocal spectral radius, the SPD solve does not.
+reciprocal spectral radius, the SPD solve does not. The solve is
+preconditioned with the diagonal of I + tau G^T A G (Jacobi; Saad,
+*Iterative Methods for Sparse Linear Systems*, 2nd ed., ch. 9), and
+each solve after the first starts from the fixed-point residual the
+outer loop has just computed, so it costs no extra apply.
 """
 
 from __future__ import annotations
@@ -100,7 +104,10 @@ class Trajectory:
     """Recorded states of one integration run.
 
     ``states[0]`` is the initial condition; ``step_sizes[k]`` is the tau
-    that produced ``states[k+1]``.
+    that produced ``states[k+1]``. ``weights`` is empty, or holds the
+    modulation A(states[k]) of the run at every state, bit for bit what a
+    fresh evaluation returns; implicit Euler records it, as each step
+    evaluates A at the state it accepts.
     """
 
     times: list[float]
@@ -109,6 +116,7 @@ class Trajectory:
     rhs_evals: int = 0
     accepted: int = 0
     rejected: int = 0
+    weights: list[np.ndarray] = field(default_factory=list)
 
 
 def _weights_fn(ops, a):
@@ -148,45 +156,64 @@ def step_explicit_euler(hg, a, x: np.ndarray, tau: float) -> np.ndarray:
 
 def step_implicit_euler(hg, a, x: np.ndarray, tau: float,
                         fp_tol: float = 1e-10, fp_max_iter: int = 100,
-                        traj: Trajectory | None = None) -> np.ndarray:
+                        traj: Trajectory | None = None,
+                        a_x: np.ndarray | None = None) -> np.ndarray:
     """One backward-Euler update solved to the stated residual.
 
     The returned y satisfies ||y - x + tau G^T A(y) G y||_F <= fp_tol.
-    Raises NoConvergence (carrying the final residual, and naming every
-    CG solve that stopped at its iteration cap) at the fixed-point
-    iteration cap. When ``traj`` is given, the step's G^T A G applies
-    are added to its ``rhs_evals``: each CG solve's matvecs, its initial
-    residual included, plus one residual per fixed-point iteration.
+    ``a_x``, when given, must be A(x), and the step does not evaluate the
+    modulation at x. Raises NoConvergence (carrying the final residual,
+    and naming every CG solve that stopped at its iteration cap) at the
+    fixed-point iteration cap. When ``traj`` is given, the step appends
+    A(y) to its ``weights`` and adds the step's G^T A G applies to its
+    ``rhs_evals``: the residual at x, each CG solve's matvecs, and one
+    residual per fixed-point iteration.
     """
     ops = as_operators(hg)
     a_fn = _weights_fn(ops, a)
     x = np.asarray(x, dtype=np.float64)
-    if tau == 0.0:
-        return x.copy()
-    a_cur = a_fn(x)
     y = x.copy()
-    residual = np.inf
+    a_y = a_fn(x) if a_x is None else a_x
+    res = tau * ops.quad_apply(a_y, y)  # y - x + tau G^T A(y) G y at y = x
+    residual = float(np.linalg.norm(res))
     cg_tol, cg_max_iter = 0.5 * fp_tol, 4 * ops.n + 40
-    cg_capped, applies = [], 0
-    for k in range(max(1, fp_max_iter)):
-        y, cg_iters, cg_converged = _cg_solve(ops, a_cur, x, tau, y, cg_tol, cg_max_iter)
-        applies += cg_iters + 2
+    cg_capped, applies, k = [], 1, 0
+    while residual > fp_tol:
+        if k == max(1, fp_max_iter):
+            capped = (f"; CG stopped at {cg_max_iter} iterations above {cg_tol:.3e}"
+                      f" in fixed-point iterations {cg_capped}") if cg_capped else ""
+            raise NoConvergence(
+                f"implicit step residual {residual:.3e} > {fp_tol:.3e}{capped}", residual)
+        # -res is the residual of (I + tau G^T A(y) G) y' = x at y' = y
+        step, cg_iters, cg_converged = _cg_solve(ops, a_y, -res, tau, None, cg_tol, cg_max_iter)
         if not cg_converged:
             cg_capped.append(k)
-        a_next = a_fn(y)
-        residual = float(np.linalg.norm(y - x + tau * ops.quad_apply(a_next, y)))
-        if residual <= fp_tol:
-            if traj is not None:
-                traj.rhs_evals += applies
-            return y
-        a_cur = a_next
-    capped = (f"; CG stopped at {cg_max_iter} iterations above {cg_tol:.3e}"
-              f" in fixed-point iterations {cg_capped}") if cg_capped else ""
-    raise NoConvergence(f"implicit step residual {residual:.3e} > {fp_tol:.3e}{capped}", residual)
+        y += step
+        a_y = a_fn(y)
+        res = y - x + tau * ops.quad_apply(a_y, y)
+        residual = float(np.linalg.norm(res))
+        applies += cg_iters + 1
+        k += 1
+    if traj is not None:
+        traj.rhs_evals += applies
+        traj.weights.append(a_y)
+    return y
+
+
+def _jacobi_diagonal(ops, a):
+    """diag(G^T diag(a) G): with c = w_e a per pair, entry u is
+    (1/d_u) sum over u's pairs q = (e, u) of c_q (1 - 2/|e|) + sum_{p in e} c_p / |e|^2."""
+    c = ops.w_pair * a
+    per_pair = c * np.take(1.0 - 2.0 * ops.inv_size, ops.pair_edge)
+    per_pair += np.take(ops.edge_sum(c) * ops.inv_size**2, ops.pair_edge)
+    return ops.node_sum(per_pair) / ops.deg.d_v
 
 
 def _cg_solve(ops, a, b, tau, x0, tol, max_iter):
-    """Conjugate gradients on (I + tau G^T diag(a) G) y = b, per column.
+    """Jacobi-preconditioned conjugate gradients on
+    (I + tau G^T diag(a) G) y = b, per column, from x0, or from zero
+    (with no initial apply) when x0 is None. The stop test is on the
+    unpreconditioned residual norm.
 
     Returns (y, iterations, whether the residual norm met tol).
     """
@@ -199,24 +226,30 @@ def _cg_solve(ops, a, b, tau, x0, tol, max_iter):
     def col_dot(u, v):
         return np.einsum("i...,i...->...", u, v)
 
-    x = x0.copy()
-    r = b - matvec(x)
-    p = r.copy()
-    rs = col_dot(r, r)
+    inv_m = 1.0 / (1.0 + tau * _jacobi_diagonal(ops, a))
+    inv_m = inv_m.reshape((-1,) + (1,) * (b.ndim - 1))
+    if x0 is None:
+        x, r = np.zeros_like(b), b.copy()
+    else:
+        x = x0.copy()
+        r = b - matvec(x)
+    p = r * inv_m
+    rz = col_dot(r, p)
     iters = 0
-    while np.sqrt(rs.sum()) > tol:
+    while np.linalg.norm(r) > tol:
         if iters == max_iter:
             return x, iters, False
         Ap = matvec(p)
         den = col_dot(p, Ap)
-        alpha = np.where(den > 0, rs / np.where(den > 0, den, 1.0), 0.0)
+        alpha = np.where(den > 0, rz / np.where(den > 0, den, 1.0), 0.0)
         x += alpha * p
         r -= alpha * Ap
-        rs_new = col_dot(r, r)
-        beta = np.where(rs > 0, rs_new / np.where(rs > 0, rs, 1.0), 0.0)
+        z = r * inv_m
+        rz_new = col_dot(r, z)
+        beta = np.where(rz > 0, rz_new / np.where(rz > 0, rz, 1.0), 0.0)
         p *= beta
-        p += r
-        rs = rs_new
+        p += z
+        rz = rz_new
         iters += 1
     return x, iters, True
 
@@ -366,13 +399,15 @@ def integrate(hg, a, x0: np.ndarray, spec: SolverSpec) -> Trajectory:
         return integrate_adaptive(ops, a_fn, x, spec.horizon, spec.adaptive)
 
     traj = Trajectory(times=[0.0], states=[x.copy()], step_sizes=[])
+    if spec.scheme == "implicit_euler":
+        traj.weights.append(a_fn(x))
     for k in range(spec.steps):
         if spec.scheme == "explicit_euler":
             x = step_explicit_euler(ops, a_fn, x, spec.tau)
             traj.rhs_evals += 1
         elif spec.scheme == "implicit_euler":
             x = step_implicit_euler(ops, a_fn, x, spec.tau, spec.fp_tol, spec.fp_max_iter,
-                                    traj=traj)
+                                    traj=traj, a_x=traj.weights[-1])
         else:  # rk4
             x = step_rk4(ops, a_fn, x, spec.tau)
             traj.rhs_evals += 4

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hnd
@@ -202,6 +203,46 @@ def test_train_non_finite_feature_exits_2(tmp_path, capsys):
     assert "MalformedDocument" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "diffuse"])
+def test_zero_column_features_exit_2(tmp_path, capsys, command):
+    # train once ended in an OverflowError, diffuse in numpy's reshape ValueError
+    path = tmp_path / "empty.json"
+    obj = json.loads(H0_DATASET)
+    obj["features"] = [[], [], []]
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "o"
+    assert main([command, "--dataset", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "error: MalformedDocument: features have zero columns" in captured.err
+    assert not out.exists()
+
+
+def test_diffuse_nl_implicit_evaluates_modulation_once_per_state(
+        h0_dataset_file, tmp_path, monkeypatch):
+    from hnd import modulation
+
+    seen = []
+    real_forward = modulation.scores_forward
+
+    def recording(params, X, ops, agg="mean"):
+        seen.append(np.array(X))
+        return real_forward(params, X, ops, agg)
+
+    monkeypatch.setattr(modulation, "scores_forward", recording)
+    out = tmp_path / "nl"
+    assert main(["diffuse", "--dataset", h0_dataset_file, "--scheme", "implicit_euler",
+                 "--tau", "10", "--steps", "3", "--modulation", "softmax", "--variant", "nl",
+                 "--dump-states", "--out", str(out)]) == 0
+    diag = json.loads((out / "diagnostics.json").read_text())
+    # the first state, plus one per fixed-point iterate, of which each step's last is its state
+    assert len(seen) >= 1 + 3
+    assert all(not np.array_equal(u, v) for i, u in enumerate(seen) for v in seen[:i])
+    states = np.frombuffer((out / "states.bin").read_bytes(), dtype="<f8", offset=24)
+    for state in states.reshape(4, 3, 1):
+        assert any(np.array_equal(state, x) for x in seen)
+    assert diag["energy_monotone"]
+
+
 @pytest.mark.parametrize("ratios", [[0.5, 0.5, 0.0], [0.5, 0.0, 0.5]])
 def test_train_empty_split_exits_2(tmp_path, capsys, ratios):
     cfg = tmp_path / "cfg.json"
@@ -368,8 +409,11 @@ for argv, field in {cases!r}:
     (["train", *TRAIN_ARGS, "--feature-dim", "0"], "feature_dim"),
     (["bench-solver", "--taus", "0"], "taus"),
     (["bench-solver", "--taus", ""], "taus"),
+    (["bench-solver", "--taus", "0.1"], "taus"),
+    (["bench-solver", "--taus", "0.1,0.1"], "taus"),
 ], ids=["diffuse-tau-0", "diffuse-horizon-inf", "train-tau-0", "train-horizon-inf",
-        "train-hidden-0", "train-feature-dim-0", "bench-solver-taus-0", "bench-solver-taus-empty"])
+        "train-hidden-0", "train-feature-dim-0", "bench-solver-taus-0", "bench-solver-taus-empty",
+        "bench-solver-taus-one", "bench-solver-taus-repeated"])
 def test_degenerate_step_and_width_flags_exit_2_before_output(
         tmp_path, h0_dataset_file, capsys, argv, field):
     # each once ended in a ZeroDivisionError, OverflowError or TypeError

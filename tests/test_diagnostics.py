@@ -9,6 +9,7 @@ from hnd.diagnostics import (
     max_principle,
     spectral_radius,
 )
+from hnd.errors import ShapeMismatch
 from hnd.hypergraph import Hypergraph
 from hnd.modulation import AttentionParams, normalize_modulation, scores_forward, uniform_modulation
 from hnd.operators import HypergraphOperators, scaled_gradient_matrix
@@ -186,6 +187,44 @@ def test_spectral_radius_disconnected_components():
     assert abs(lam_of(merged) - max(lam_of(h_a), lam_of(h_b))) <= 1e-8
 
 
+def _union(*hgs):
+    """Disjoint union: node ids of each later hypergraph shifted past the earlier ones."""
+    edges, weights, shift = [], [], 0
+    for hg in hgs:
+        edges += [tuple(v + shift for v in e) for e in hg.edges]
+        weights += hg.weights
+        shift += hg.n
+    return Hypergraph(n=shift, edges=tuple(edges), weights=tuple(weights))
+
+
+def test_lanczos_matches_dense_maximum():
+    graphs = [random_hypergraph(seed + 400) for seed in range(6)]
+    graphs += [_union(random_hypergraph(410), random_hypergraph(411, n_max=12)),
+               _union(random_hypergraph(412, n_max=8), random_hypergraph(413))]
+    for seed, hg in enumerate(graphs):
+        ops = HypergraphOperators(hg)
+        a = normalize_modulation(make_rng(seed).standard_normal(ops.N), ops).values
+        G = scaled_gradient_matrix(ops)
+        eigs = np.linalg.eigvalsh(G.T @ (a[:, None] * G))
+        lam, converged = spectral_radius(ops, a)
+        assert converged
+        assert eigs[0] - 1e-12 <= lam <= eigs[-1] + 1e-12
+        assert abs(lam - eigs[-1]) <= 1e-10
+
+
+def test_lanczos_invariant_subspace_is_converged(h0_ops):
+    # three nodes: the Krylov space is the whole space after at most three applies
+    a = uniform_modulation(h0_ops).values
+    G = scaled_gradient_matrix(h0_ops)
+    dense = np.linalg.eigvalsh(G.T @ (a[:, None] * G))[-1]
+    calls = []
+    original = h0_ops.quad_apply
+    h0_ops.quad_apply = lambda *args: calls.append(1) or original(*args)
+    lam, converged = spectral_radius(h0_ops, a, tol=1e-300)
+    assert converged and len(calls) <= 3
+    assert abs(lam - dense) <= 1e-12
+
+
 def test_spectral_radius_requires_iters(h0_ops):
     a = uniform_modulation(h0_ops).values
     with pytest.raises(ValueError):
@@ -204,3 +243,26 @@ def test_diagnostics_accept_every_modulation_form():
     reports = [energy_monotonicity(ops, traj, a) for a in forms]
     assert all(r.to_json() == reports[0].to_json() for r in reports)
     assert spectral_radius(ops, weights) == spectral_radius(ops, weights.values)
+
+
+def test_recorded_weights_spare_modulation_repeats():
+    # an nl implicit run plus its energy check evaluates A once per distinct state
+    ops = HypergraphOperators(random_hypergraph(78))
+    x0 = make_rng(78).standard_normal((ops.n, 2))
+    params = AttentionParams.init(2, 5)
+    seen = []
+
+    def a_fn(x):
+        seen.append(np.array(x))
+        return normalize_modulation(scores_forward(params, x, ops)[0], ops).values
+
+    spec = SolverSpec(scheme="implicit_euler", tau=5.0, steps=3,
+                      modulation_policy="recompute_each_step")
+    traj = integrate(ops, a_fn, x0, spec)
+    report = energy_monotonicity(ops, traj, traj.weights)
+    assert all(not np.array_equal(u, v) for i, u in enumerate(seen) for v in seen[:i])
+    assert all(any(np.array_equal(s, x) for x in seen) for s in traj.states)
+    fresh = energy_monotonicity(ops, traj, a_fn)
+    assert report.to_json() == fresh.to_json()
+    with pytest.raises(ShapeMismatch):
+        energy_monotonicity(ops, traj, traj.weights[1:])

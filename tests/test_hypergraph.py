@@ -56,6 +56,48 @@ def test_validation_errors(edges, weights, err):
         Hypergraph(n=3, edges=edges, weights=weights)
 
 
+def _loop_reference_error(n, edges, weights):
+    """The first fault, as (type, message), by the per-edge loop that the
+    vectorized validation replaced; None for a valid hypergraph."""
+    canonical = [tuple(sorted(map(int, e))) for e in edges]
+    if n > sum(map(len, canonical)):
+        return IsolatedNode, f"{n} nodes cannot all belong to edges with {sum(map(len, canonical))} members"
+    for i, ms in enumerate(canonical):
+        if len(ms) < 2:
+            return DegenerateEdge, f"edge {i} has cardinality {len(ms)} < 2"
+        if len(set(ms)) != len(ms):
+            return DegenerateEdge, f"edge {i} contains duplicate node ids"
+        if ms[0] < 0 or ms[-1] >= n:
+            return NodeIdOutOfRange, f"edge {i} references node outside [0, {n})"
+    for i, w in enumerate(map(float, weights)):
+        if not 0.0 < w < float("inf"):
+            return NonPositiveWeight, f"edge {i} has weight {w}"
+    missing = sorted(set(range(n)) - {v for ms in canonical for v in ms})
+    if missing:
+        return IsolatedNode, f"node {missing[0]} belongs to no hyperedge"
+    return None
+
+
+_ids = st.one_of(st.integers(-2, 7), st.sampled_from([2**63, 2**70, -2**64]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 6),
+       edges=st.lists(st.lists(_ids, max_size=4), min_size=1, max_size=5),
+       weights=st.lists(st.sampled_from([1.0, 2.5, 0.0, -1.0, float("nan"), float("inf")]),
+                        min_size=5, max_size=5))
+def test_validation_reports_the_first_fault_as_the_edge_loop_does(n, edges, weights):
+    weights = weights[:len(edges)]
+    expected = _loop_reference_error(n, edges, weights)
+    if expected is None:
+        hg = Hypergraph(n=n, edges=tuple(map(tuple, edges)), weights=tuple(weights))
+        assert pair_index(hg).node_id.tolist() == [v for e in hg.edges for v in e]
+        return
+    with pytest.raises(expected[0]) as err:
+        Hypergraph(n=n, edges=tuple(map(tuple, edges)), weights=tuple(weights))
+    assert str(err.value) == expected[1]
+
+
 def test_parse_text_h0():
     hg = parse_hypergraph(H0_TEXT)
     assert hg.n == 3 and hg.m == 2

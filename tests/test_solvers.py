@@ -11,6 +11,7 @@ import hnd
 from hnd import solvers
 from hnd.diagnostics import energy, energy_monotonicity, spectral_radius
 from hnd.errors import NoConvergence, ShapeMismatch, StepUnderflow, TooFewSteps
+from hnd.hypergraph import Hypergraph
 from hnd.modulation import (
     AttentionParams,
     normalize_modulation,
@@ -213,6 +214,57 @@ def test_cg_solve_reports_iterations_and_convergence(h0_setup):
     assert np.linalg.norm(y + 10.0 * ops.quad_apply(a.values, y) - x) <= 1e-12
     _, iters, converged = _cg_solve(ops, a.values, x, 10.0, x, tol=1e-12, max_iter=1)
     assert (iters, converged) == (1, False)
+
+
+def test_jacobi_diagonal_matches_dense_oracle():
+    for seed in range(6):
+        # non-unit weights and edge sizes 2..8 from the generator, zeros in a
+        ops = HypergraphOperators(random_hypergraph(seed + 300))
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(0.0, 2.0, ops.N)
+        a[rng.random(ops.N) < 0.3] = 0.0
+        dense = np.diag(dense_operator(ops, a))
+        assert np.abs(solvers._jacobi_diagonal(ops, a) - dense).max() <= 1e-13
+
+
+def _hub_graph():
+    # nodes 0..9 join up to 15 edges each, nodes 10..99 one or two
+    rng = np.random.default_rng(5)
+    edges = [tuple(sorted({int(rng.integers(0, 10)), i, int(rng.integers(10, 100))}))
+             for i in range(10, 100)]
+    edges += [(h, (h + 1) % 10) for h in range(10)]
+    weights = tuple(rng.uniform(0.5, 2.0, len(edges)))
+    return HypergraphOperators(Hypergraph(n=100, edges=tuple(edges), weights=weights))
+
+
+def test_jacobi_cg_needs_no_more_iterations_than_plain_cg(monkeypatch):
+    from hnd.solvers import _cg_solve
+
+    ops = _hub_graph()
+    a = uniform_modulation(ops).values
+    b = np.random.default_rng(0).standard_normal((ops.n, 2))
+    tol = 1e-10
+
+    def solve():
+        y, iters, converged = _cg_solve(ops, a, b, 10.0, None, tol, 500)
+        assert converged
+        assert np.linalg.norm(b - y - 10.0 * ops.quad_apply(a, y)) <= 2 * tol
+        return iters
+
+    jacobi = solve()
+    monkeypatch.setattr(solvers, "_jacobi_diagonal", lambda ops, a: np.zeros(ops.n))
+    plain = solve()
+    assert jacobi < plain  # 27 against 31
+
+
+def test_implicit_euler_records_weights_of_every_state():
+    ops, x0 = _policy_case()
+    a = _Counting(ops, x0.shape[1])
+    spec = SolverSpec(scheme="implicit_euler", tau=5.0, steps=3,
+                      modulation_policy="recompute_each_step", fp_tol=1e-11)
+    traj = integrate(ops, a, x0, spec)
+    assert len(traj.weights) == len(traj.states)
+    assert all(np.array_equal(w, a.fn(s)) for w, s in zip(traj.weights, traj.states))
 
 
 def test_implicit_euler_no_convergence_names_capped_cg(h0_setup, monkeypatch):
