@@ -223,11 +223,12 @@ def _cmd_diffuse(args) -> int:
     x0 = ds.features
     a = _modulation(cfg, ops, x0.shape[1])
     traj = integrate(ops, a, x0, spec)
-    # implicit Euler records the weights at every state, which saves evaluating them again
-    a0 = traj.weights[0] if traj.weights else _weights_fn(ops, a)(x0)
-    report = energy_monotonicity(ops, traj, a0 if policy == "frozen" else (traj.weights or a))
+    # evaluate the modulation only at the states where the run did not record it
+    a_fn = _weights_fn(ops, a)
+    weights = traj.weights + [a_fn(s) for s in traj.states[len(traj.weights):]]
+    report = energy_monotonicity(ops, traj, weights)
     bounds = max_principle(ops, traj)
-    lam, converged = spectral_radius(ops, a0)
+    lam, converged = spectral_radius(ops, weights[0])
 
     out = _out_dir(args)
     _write_file(os.path.join(out, "trajectory.csv"),
@@ -242,6 +243,7 @@ def _cmd_diffuse(args) -> int:
         "spectral_radius": lam,
         "spectral_radius_converged": converged,
         "rhs_evals": traj.rhs_evals,
+        "cg_iters": traj.cg_iters,
         "accepted": traj.accepted,
         "rejected": traj.rejected,
     }

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from itertools import chain
 from operator import index
 
@@ -47,15 +47,18 @@ class Hypergraph:
     n: int
     edges: tuple[tuple[int, ...], ...]
     weights: tuple[float, ...]
+    # set by the JSON reader, whose edges are already tuples of ascending ints
+    _sorted: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _sorted):
         if self.n < 1:
             raise MalformedDocument(f"node count must be positive, got {self.n}")
         if len(self.edges) != len(self.weights):
             raise MalformedDocument(
                 f"{len(self.edges)} edges but {len(self.weights)} weights"
             )
-        canonical = tuple(tuple(sorted(map(int, members))) for members in self.edges)
+        canonical = self.edges if _sorted else tuple(
+            tuple(sorted(map(int, members))) for members in self.edges)
         # every node needs a pair of its own, so check before allocating n flags
         sizes = np.fromiter(map(len, canonical), dtype=np.int64, count=len(canonical))
         pairs = int(sizes.sum())
@@ -206,11 +209,11 @@ def _hypergraph_from_json(obj: dict) -> Hypergraph:
     # and overflow on Infinity
     try:
         n = index(obj["n"])
-        edges = tuple(tuple(map(index, e)) for e in obj["edges"])
+        edges = tuple(tuple(sorted(map(index, e))) for e in obj["edges"])
         weights = tuple(map(float, obj["weights"]))
     except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedDocument(f"malformed JSON fields: {exc}") from exc
-    return Hypergraph(n=n, edges=edges, weights=weights)
+    return Hypergraph(n=n, edges=edges, weights=weights, _sorted=True)
 
 
 def _parse_text(document: str) -> Hypergraph:

@@ -21,7 +21,12 @@ reciprocal spectral radius, the SPD solve does not. The solve is
 preconditioned with the diagonal of I + tau G^T A G (Jacobi; Saad,
 *Iterative Methods for Sparse Linear Systems*, 2nd ed., ch. 9), and
 each solve after the first starts from the fixed-point residual the
-outer loop has just computed, so it costs no extra apply.
+outer loop has just computed, so it costs no extra apply. With a
+state-dependent modulation each solve is inexact (Dembo, Eisenstat &
+Steihaug, "Inexact Newton Methods", *SIAM J. Numer. Anal.* 19(2), 1982):
+it stops at ``CG_FORCING`` times the fixed-point residual it starts from,
+as the next update of A moves that residual by more anyway. The step
+still returns only once the true residual meets its tolerance.
 """
 
 from __future__ import annotations
@@ -39,6 +44,9 @@ SCHEMES = ("explicit_euler", "implicit_euler", "rk4", "ab4", "am4", "adaptive")
 
 AB4_COEFFICIENTS = (55.0 / 24.0, -59.0 / 24.0, 37.0 / 24.0, -9.0 / 24.0)
 AM4_COEFFICIENTS = (9.0 / 24.0, 19.0 / 24.0, -5.0 / 24.0, 1.0 / 24.0)
+
+# implicit Euler's inner CG tolerance, as a fraction of the fixed-point residual
+CG_FORCING = 1e-5
 
 
 def _require_positive(**fields) -> None:
@@ -104,10 +112,10 @@ class Trajectory:
     """Recorded states of one integration run.
 
     ``states[0]`` is the initial condition; ``step_sizes[k]`` is the tau
-    that produced ``states[k+1]``. ``weights`` is empty, or holds the
-    modulation A(states[k]) of the run at every state, bit for bit what a
-    fresh evaluation returns; implicit Euler records it, as each step
-    evaluates A at the state it accepts.
+    that produced ``states[k+1]``. ``weights[k]`` is A(states[k]) as the
+    run evaluated it: for every state under the frozen policy and in
+    implicit Euler, for all but the last in explicit Euler, else for none.
+    ``cg_iters[k]`` lists the iterations of each CG solve of implicit step k.
     """
 
     times: list[float]
@@ -117,6 +125,7 @@ class Trajectory:
     accepted: int = 0
     rejected: int = 0
     weights: list[np.ndarray] = field(default_factory=list)
+    cg_iters: list[list[int]] = field(default_factory=list)
 
 
 def _weights_fn(ops, a):
@@ -126,7 +135,8 @@ def _weights_fn(ops, a):
     callable when it is returned: anything but a finite non-negative
     vector of shape (N,) raises ShapeMismatch. A callable this function
     returned for the same ``ops`` is returned as it is, so a step
-    function handed ``integrate``'s callable checks nothing again.
+    function handed ``integrate``'s callable checks nothing again. Its
+    ``fixed`` attribute tells whether it wraps a vector.
     """
     if getattr(a, "weights_for", None) is ops:
         return a
@@ -138,7 +148,7 @@ def _weights_fn(ops, a):
             raise ShapeMismatch(
                 f"modulation weights must be finite, non-negative and of shape ({ops.N},)")
         fn = lambda x: vec
-    fn.weights_for = ops
+    fn.weights_for, fn.fixed = ops, not callable(a)
     return fn
 
 
@@ -148,10 +158,16 @@ def rhs(hg, a, x: np.ndarray) -> np.ndarray:
     return -ops.quad_apply(_weights_fn(ops, a)(x), np.asarray(x, dtype=np.float64))
 
 
-def step_explicit_euler(hg, a, x: np.ndarray, tau: float) -> np.ndarray:
-    """One forward-Euler update with the modulation evaluated at x."""
+def step_explicit_euler(hg, a, x: np.ndarray, tau: float,
+                        traj: Trajectory | None = None) -> np.ndarray:
+    """One forward-Euler update with the modulation evaluated at x; with
+    ``traj``, appends A(x) to its ``weights`` and counts the apply."""
     ops = as_operators(hg)
-    return x - tau * ops.quad_apply(_weights_fn(ops, a)(x), x)
+    a_x = _weights_fn(ops, a)(x)
+    if traj is not None:
+        traj.rhs_evals += 1
+        traj.weights.append(a_x)
+    return x - tau * ops.quad_apply(a_x, x)
 
 
 def step_implicit_euler(hg, a, x: np.ndarray, tau: float,
@@ -162,10 +178,15 @@ def step_implicit_euler(hg, a, x: np.ndarray, tau: float,
 
     The returned y satisfies ||y - x + tau G^T A(y) G y||_F <= fp_tol.
     ``a_x``, when given, must be A(x), and the step does not evaluate the
-    modulation at x. Raises NoConvergence (carrying the final residual,
-    and naming every CG solve that stopped at its iteration cap) at the
+    modulation at x. Each fixed-point iteration solves
+    (I + tau G^T A(y) G) y' = x by CG to max(fp_tol / 2, CG_FORCING * r),
+    r the fixed-point residual it starts from (an inexact solve; see the
+    module docstring), or to fp_tol / 2 when A is a fixed vector. Raises
+    NoConvergence (carrying the final residual, and naming every CG solve
+    that stopped at its iteration cap, with its tolerance) at the
     fixed-point iteration cap. When ``traj`` is given, the step appends
-    A(y) to its ``weights`` and adds the step's G^T A G applies to its
+    A(y) to its ``weights`` and each solve's iterations to its
+    ``cg_iters``, and adds the step's G^T A G applies to its
     ``rhs_evals``: the residual at x, each CG solve's matvecs, and one
     residual per fixed-point iteration.
     """
@@ -176,27 +197,29 @@ def step_implicit_euler(hg, a, x: np.ndarray, tau: float,
     a_y = a_fn(x) if a_x is None else a_x
     res = tau * ops.quad_apply(a_y, y)  # y - x + tau G^T A(y) G y at y = x
     residual = float(np.linalg.norm(res))
-    cg_tol, cg_max_iter = 0.5 * fp_tol, 4 * ops.n + 40
-    cg_capped, applies, k = [], 1, 0
+    forcing, cg_max_iter = 0.0 if a_fn.fixed else CG_FORCING, 4 * ops.n + 40
+    cg_capped, cg_iters = [], []
     while residual > fp_tol:
-        if k == max(1, fp_max_iter):
-            capped = (f"; CG stopped at {cg_max_iter} iterations above {cg_tol:.3e}"
-                      f" in fixed-point iterations {cg_capped}") if cg_capped else ""
+        if len(cg_iters) == max(1, fp_max_iter):
+            capped = (f"; CG stopped at {cg_max_iter} iterations in fixed-point iterations"
+                      f" {[i for i, _ in cg_capped]} above tolerances"
+                      f" [{', '.join(f'{t:.3e}' for _, t in cg_capped)}]") if cg_capped else ""
             raise NoConvergence(
                 f"implicit step residual {residual:.3e} > {fp_tol:.3e}{capped}", residual)
+        cg_tol = max(0.5 * fp_tol, forcing * residual)
         # -res is the residual of (I + tau G^T A(y) G) y' = x at y' = y
-        step, cg_iters, cg_converged = _cg_solve(ops, a_y, -res, tau, None, cg_tol, cg_max_iter)
+        step, iters, cg_converged = _cg_solve(ops, a_y, -res, tau, None, cg_tol, cg_max_iter)
         if not cg_converged:
-            cg_capped.append(k)
+            cg_capped.append((len(cg_iters), cg_tol))
+        cg_iters.append(iters)
         y += step
         a_y = a_fn(y)
         res = y - x + tau * ops.quad_apply(a_y, y)
         residual = float(np.linalg.norm(res))
-        applies += cg_iters + 1
-        k += 1
     if traj is not None:
-        traj.rhs_evals += applies
+        traj.rhs_evals += 1 + sum(cg_iters) + len(cg_iters)
         traj.weights.append(a_y)
+        traj.cg_iters.append(cg_iters)
     return y
 
 
@@ -394,27 +417,28 @@ def integrate(hg, a, x0: np.ndarray, spec: SolverSpec) -> Trajectory:
         a_fn = _weights_fn(ops, a_fn(x).copy())
 
     if spec.scheme in ("ab4", "am4"):
-        return integrate_multistep(ops, a_fn, x, spec.tau, spec.steps, spec.scheme)
-    if spec.scheme == "adaptive":
-        return integrate_adaptive(ops, a_fn, x, spec.horizon, spec.adaptive)
-
-    traj = Trajectory(times=[0.0], states=[x.copy()], step_sizes=[])
-    if spec.scheme == "implicit_euler":
-        traj.weights.append(a_fn(x))
-    for k in range(spec.steps):
-        if spec.scheme == "explicit_euler":
-            x = step_explicit_euler(ops, a_fn, x, spec.tau)
-            traj.rhs_evals += 1
-        elif spec.scheme == "implicit_euler":
-            x = step_implicit_euler(ops, a_fn, x, spec.tau, spec.fp_tol, spec.fp_max_iter,
-                                    traj=traj, a_x=traj.weights[-1])
-        else:  # rk4
-            x = step_rk4(ops, a_fn, x, spec.tau)
-            traj.rhs_evals += 4
-        traj.times.append((k + 1) * spec.tau)
-        traj.states.append(x.copy())
-        traj.step_sizes.append(spec.tau)
-    traj.accepted = spec.steps
+        traj = integrate_multistep(ops, a_fn, x, spec.tau, spec.steps, spec.scheme)
+    elif spec.scheme == "adaptive":
+        traj = integrate_adaptive(ops, a_fn, x, spec.horizon, spec.adaptive)
+    else:
+        traj = Trajectory(times=[0.0], states=[x.copy()], step_sizes=[])
+        if spec.scheme == "implicit_euler":
+            traj.weights.append(a_fn(x))
+        for k in range(spec.steps):
+            if spec.scheme == "explicit_euler":
+                x = step_explicit_euler(ops, a_fn, x, spec.tau, traj=traj)
+            elif spec.scheme == "implicit_euler":
+                x = step_implicit_euler(ops, a_fn, x, spec.tau, spec.fp_tol, spec.fp_max_iter,
+                                        traj=traj, a_x=traj.weights[-1])
+            else:  # rk4
+                x = step_rk4(ops, a_fn, x, spec.tau)
+                traj.rhs_evals += 4
+            traj.times.append((k + 1) * spec.tau)
+            traj.states.append(x.copy())
+            traj.step_sizes.append(spec.tau)
+        traj.accepted = spec.steps
+    if spec.modulation_policy == "frozen":
+        traj.weights = [a_fn(x0)] * len(traj.states)
     return traj
 
 

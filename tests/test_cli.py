@@ -243,6 +243,36 @@ def test_diffuse_nl_implicit_evaluates_modulation_once_per_state(
     assert diag["energy_monotone"]
 
 
+@pytest.mark.parametrize("variant,calls", [("nl", 4), ("l", 1)])
+def test_diffuse_explicit_evaluates_modulation_once_per_state(
+        h0_dataset_file, tmp_path, monkeypatch, variant, calls):
+    from hnd import modulation
+
+    counted = []
+    real_forward = modulation.scores_forward
+
+    def counting(*args, **kwargs):
+        counted.append(1)
+        return real_forward(*args, **kwargs)
+
+    monkeypatch.setattr(modulation, "scores_forward", counting)
+    assert main(["diffuse", "--dataset", h0_dataset_file, "--scheme", "explicit_euler",
+                 "--steps", "3", "--modulation", "softmax", "--variant", variant,
+                 "--out", str(tmp_path / variant)]) == 0
+    assert len(counted) == calls  # 4 distinct states under nl, 1 frozen under l
+
+
+def test_diffuse_records_cg_iterations_per_implicit_step(h0_dataset_file, tmp_path):
+    out = tmp_path / "cg"
+    assert main(["diffuse", "--dataset", h0_dataset_file, "--scheme", "implicit_euler",
+                 "--tau", "10", "--steps", "3", "--modulation", "softmax", "--variant", "nl",
+                 "--out", str(out)]) == 0
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert len(diag["cg_iters"]) == 3
+    # per step: the residual at its start state, and per solve its matvecs plus one residual
+    assert diag["rhs_evals"] == sum(1 + sum(s) + len(s) for s in diag["cg_iters"])
+
+
 @pytest.mark.parametrize("ratios", [[0.5, 0.5, 0.0], [0.5, 0.0, 0.5]])
 def test_train_empty_split_exits_2(tmp_path, capsys, ratios):
     cfg = tmp_path / "cfg.json"

@@ -19,6 +19,7 @@ from hnd.modulation import (
     uniform_modulation,
 )
 from hnd.operators import HypergraphOperators, scaled_gradient_matrix
+from hnd.synth import generate_sbm
 from hnd.solvers import (
     AB4_COEFFICIENTS,
     AM4_COEFFICIENTS,
@@ -276,6 +277,59 @@ def test_implicit_euler_no_convergence_names_capped_cg(h0_setup, monkeypatch):
                         lambda *args: one_step_cg(*args[:-1], max_iter=1))
     with pytest.raises(NoConvergence, match=r"CG stopped .* fixed-point iterations \[0, 1, 2\]"):
         step_implicit_euler(ops, a.values, x, 5.0, fp_tol=1e-10, fp_max_iter=3)
+
+
+def _tanh_modulation(ops):
+    def a_fn(v):
+        s = np.tanh(v.reshape(ops.n, -1).sum(axis=1))[ops.pair_node]
+        return normalize_modulation(s, ops).values
+    return a_fn
+
+
+@pytest.mark.parametrize("tau", [0.1, 1.0, 10.0, 100.0])
+@pytest.mark.parametrize("cols", [None, 2])
+def test_inexact_implicit_step_meets_residual_contract(tau, cols):
+    graphs = [HypergraphOperators(random_hypergraph(seed + 500)) for seed in range(3)]
+    for ops in graphs + [_hub_graph()]:
+        shape = (ops.n,) if cols is None else (ops.n, cols)
+        x = np.random.default_rng(ops.n).standard_normal(shape)
+        a_fn = _tanh_modulation(ops)
+        traj = Trajectory(times=[], states=[], step_sizes=[])
+        y = step_implicit_euler(ops, a_fn, x, tau, fp_tol=1e-10, fp_max_iter=200, traj=traj)
+        assert np.linalg.norm(y - x + tau * ops.quad_apply(a_fn(y), y)) <= 1e-10
+        assert traj.rhs_evals == 1 + sum(traj.cg_iters[0]) + len(traj.cg_iters[0])
+
+
+def _desk_sbm_nl():
+    ds = generate_sbm(250, 100, 15, 1, 4, 1.0, 7)
+    ops = HypergraphOperators(ds.hypergraph)
+    return ops, softmax_modulation_fn(AttentionParams.init(4, 0), ops), ds.features
+
+
+def test_inexact_solves_spare_applies(monkeypatch):
+    ops, a_fn, x = _desk_sbm_nl()
+
+    def step():
+        traj = Trajectory(times=[], states=[], step_sizes=[])
+        y = step_implicit_euler(ops, a_fn, x, 10.0, traj=traj)
+        assert np.linalg.norm(y - x + 10.0 * ops.quad_apply(a_fn(y), y)) <= 1e-10
+        return traj.rhs_evals, len(traj.cg_iters[0])
+
+    inexact = step()
+    monkeypatch.setattr(solvers, "CG_FORCING", 0.0)
+    full = step()
+    assert inexact[0] < full[0] and inexact[1] <= full[1]
+
+
+def test_fixed_weights_are_solved_to_full_tolerance(monkeypatch):
+    ops, a_fn, x = _desk_sbm_nl()
+    a = a_fn(x)
+    traj = Trajectory(times=[], states=[], step_sizes=[])
+    y = step_implicit_euler(ops, a, x, 10.0, traj=traj)
+    assert len(traj.cg_iters[0]) == 1
+    # a callable with a zero forcing term runs every solve to full tolerance
+    monkeypatch.setattr(solvers, "CG_FORCING", 0.0)
+    assert np.array_equal(y, step_implicit_euler(ops, lambda v: a, x, 10.0))
 
 
 def test_rk4_tau_zero(h0_setup):
