@@ -54,21 +54,19 @@ class ModelParams:
     w_out: np.ndarray       # (d, n_classes)
 
     @classmethod
-    def init(cls, d_in: int, hidden: int, n_classes: int, seed: int,
-             leaky_slope: float = 0.01) -> "ModelParams":
+    def init(cls, d_in: int, hidden: int, n_classes: int, seed: int) -> "ModelParams":
         rng = make_rng(seed)
         def u(fan_in, *shape):
             b = 1.0 / np.sqrt(fan_in)
             return rng.uniform(-b, b, size=shape)
         return cls(
             w_in=u(d_in, d_in, hidden),
-            attention=AttentionParams.init(hidden, seed + 1, leaky_slope),
+            attention=AttentionParams.init(hidden, seed + 1),
             w_out=u(hidden, hidden, n_classes),
         )
 
     def _tensors(self):
-        a = self.attention
-        return [self.w_in, a.projection, a.hidden_w, a.hidden_b, a.out_w, a.out_b, self.w_out]
+        return [self.w_in, *self.attention._tensors(), self.w_out]
 
     def to_vector(self) -> np.ndarray:
         return np.concatenate([t.ravel() for t in self._tensors()])
@@ -82,18 +80,11 @@ class ModelParams:
             offset += t.size
         if offset != vec.size:
             raise ShapeMismatch(f"vector has {vec.size} entries, expected {offset}")
-        att = AttentionParams(
-            projection=out[1], hidden_w=out[2], hidden_b=out[3],
-            out_w=out[4], out_b=out[5], leaky_slope=self.attention.leaky_slope,
-        )
+        att = AttentionParams(*out[1:6], leaky_slope=self.attention.leaky_slope)
         return ModelParams(w_in=out[0], attention=att, w_out=out[6])
 
     def zeros_like(self) -> "ModelParams":
-        return ModelParams(
-            w_in=np.zeros_like(self.w_in),
-            attention=self.attention.zeros_like(),
-            w_out=np.zeros_like(self.w_out),
-        )
+        return self.from_vector(np.zeros_like(self.to_vector()))
 
 
 def _dropout_mask(shape, rate: float, seed: int) -> np.ndarray:
@@ -194,17 +185,18 @@ def _frozen_pass(params, ops, x0, tau, steps, agg):
     s, cache = scores_forward(params.attention, x0, ops, agg)
     a = normalize_modulation(s, ops).values
     z = x0 @ params.w_out
+    plan = ops.apply_plan(z.shape[1], a)  # a is fixed for all 2 * steps applies
     gzs = []            # G z_k per step
     for _ in range(steps):
-        gzs.append(ops.grad_scaled(z))
-        z = z - tau * ops.grad_scaled_t(gzs[-1], a=a)
+        gzs.append(ops.grad_scaled(z, plan=plan))
+        z = z - tau * ops.grad_scaled_t(gzs[-1], plan=plan)
 
     def backward(dlogits):
         v, da = dlogits, np.zeros(ops.N)
         for gz in reversed(gzs):
-            gv = ops.grad_scaled(v)
+            gv = ops.grad_scaled(v, plan=plan)
             da -= tau * np.einsum("ij,ij->i", gv, gz)
-            v = v - tau * ops.grad_scaled_t(gv, a=a)
+            v = v - tau * ops.grad_scaled_t(gv, plan=plan)
         g_att, dX_mod = scores_backward(params.attention, ops, cache, softmax_backward(a, ops, da))
         return g_att, v @ params.w_out.T + dX_mod, x0.T @ v
     return z, backward
@@ -239,5 +231,5 @@ _PASSES = {"l": _frozen_pass, "nl": _recompute_pass}
 
 
 def _accumulate(total: AttentionParams, delta: AttentionParams) -> None:
-    for name in ("projection", "hidden_w", "hidden_b", "out_w", "out_b"):
-        getattr(total, name)[...] += getattr(delta, name)
+    for t, d in zip(total._tensors(), delta._tensors()):
+        t += d

@@ -53,8 +53,9 @@ class AttentionParams:
 
     ``projection`` maps features to the comparison space; the
     one-hidden-layer map (width d, scalar output) consumes the
-    concatenated projected node and edge vectors. LeakyReLU is applied
-    to the hidden layer and to the scalar output.
+    concatenated projected node and edge vectors. LeakyReLU, with a
+    negative slope in (0, 1], is applied to the hidden layer and to the
+    scalar output.
     """
 
     projection: np.ndarray  # (d, d)
@@ -62,7 +63,11 @@ class AttentionParams:
     hidden_b: np.ndarray    # (d,)
     out_w: np.ndarray       # (d,)
     out_b: np.ndarray       # (1,)
-    leaky_slope: float = 0.01
+    leaky_slope: float
+
+    def __post_init__(self):
+        if not 0.0 < self.leaky_slope <= 1.0:
+            raise ValueError(f"leaky_slope must be in (0, 1], got {self.leaky_slope!r}")
 
     @classmethod
     def init(cls, d: int, seed: int, leaky_slope: float = 0.01) -> "AttentionParams":
@@ -80,23 +85,20 @@ class AttentionParams:
             leaky_slope=leaky_slope,
         )
 
+    def _tensors(self) -> tuple:
+        return self.projection, self.hidden_w, self.hidden_b, self.out_w, self.out_b
+
     def zeros_like(self) -> "AttentionParams":
-        return AttentionParams(
-            projection=np.zeros_like(self.projection),
-            hidden_w=np.zeros_like(self.hidden_w),
-            hidden_b=np.zeros_like(self.hidden_b),
-            out_w=np.zeros_like(self.out_w),
-            out_b=np.zeros_like(self.out_b),
-            leaky_slope=self.leaky_slope,
-        )
+        return AttentionParams(*map(np.zeros_like, self._tensors()), self.leaky_slope)
 
 
+# branch-free np.where(x >= 0, x, slope * x) and its derivative: the same bits for 0 < slope <= 1
 def _leaky(x, slope):
-    return np.where(x >= 0, x, slope * x)
+    return np.maximum(x, slope * x)
 
 
 def _leaky_grad(x, slope):
-    return np.where(x >= 0, 1.0, slope)
+    return np.maximum(x >= 0, slope)
 
 
 def edge_features(X: np.ndarray, hg, agg: str = "mean") -> np.ndarray:
@@ -155,15 +157,7 @@ def scores_backward(params: AttentionParams, ops: HypergraphOperators, cache, ds
     dX = d_proj_n @ params.projection
     dE = d_proj_e @ params.projection
     dX += _edge_features_backward(X, E, ops, agg, dE)
-    grads = AttentionParams(
-        projection=g_projection,
-        hidden_w=g_hidden_w,
-        hidden_b=g_hidden_b,
-        out_w=g_out_w,
-        out_b=g_out_b,
-        leaky_slope=slope,
-    )
-    return grads, dX
+    return AttentionParams(g_projection, g_hidden_w, g_hidden_b, g_out_w, g_out_b, slope), dX
 
 
 def _edge_features_backward(X, E, ops, agg, dE) -> np.ndarray:

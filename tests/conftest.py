@@ -1,11 +1,36 @@
 """Shared fixtures and random-instance helpers."""
 
+import signal
+
 import numpy as np
 import pytest
 
 from hnd.hypergraph import Dataset, Hypergraph
 from hnd.operators import HypergraphOperators
 from hnd.rng import make_rng
+
+
+# A test that runs longer than this fails, so a hang (say, a loop that
+# never meets its stopping rule) cannot stall the suite.
+TEST_TIME_LIMIT_S = 120
+
+
+@pytest.fixture(autouse=True)
+def _time_limit():
+    if not hasattr(signal, "SIGALRM"):  # no alarm clock on this platform
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"test ran longer than {TEST_TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

@@ -225,6 +225,19 @@ def test_lanczos_invariant_subspace_is_converged(h0_ops):
     assert abs(lam - dense) <= 1e-12
 
 
+def test_lanczos_stops_on_the_ritz_value_change():
+    # 120 nodes, but the largest Ritz value settles to tol long before the Krylov space fills
+    ops = HypergraphOperators(random_hypergraph(1, n_exact=120, m_max=120))
+    a = uniform_modulation(ops).values
+    calls = []
+    original = ops.quad_apply
+    ops.quad_apply = lambda *args: calls.append(1) or original(*args)
+    lam, converged = spectral_radius(ops, a)
+    assert converged and len(calls) <= 30
+    G = scaled_gradient_matrix(ops)
+    assert abs(lam - np.linalg.eigvalsh(G.T @ (a[:, None] * G))[-1]) <= 1e-9
+
+
 def test_spectral_radius_requires_iters(h0_ops):
     a = uniform_modulation(h0_ops).values
     with pytest.raises(ValueError):

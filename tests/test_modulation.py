@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from hnd.modulation import (
     AttentionParams,
     ModulationWeights,
+    _leaky,
+    _leaky_grad,
     edge_features,
     normalize_modulation,
     scores_backward,
@@ -264,3 +266,19 @@ def test_attention_init_deterministic():
         assert np.array_equal(getattr(a, name), getattr(b, name))
     bound = 1.0 / np.sqrt(6)
     assert np.abs(a.projection).max() <= bound
+
+
+@pytest.mark.parametrize("slope", [1e-300, 0.01, 0.2, 1.0])
+def test_leaky_relu_matches_the_branching_form_bit_for_bit(slope):
+    rng = np.random.default_rng(3)
+    x = np.concatenate([rng.standard_normal(64), [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                                                   5e-324, -5e-324, 1e308, -1e308]])
+    assert _leaky(x, slope).tobytes() == np.where(x >= 0, x, slope * x).tobytes()
+    assert _leaky_grad(x, slope).tobytes() == np.where(x >= 0, 1.0, slope).tobytes()
+
+
+@pytest.mark.parametrize("slope", [0.0, -0.01, 1.5, np.nan])
+def test_attention_params_refuse_a_slope_outside_zero_one(slope):
+    # the branch-free LeakyReLU holds only for 0 < slope <= 1 (at 0 it maps +inf to NaN)
+    with pytest.raises(ValueError):
+        AttentionParams.init(2, seed=0, leaky_slope=slope)

@@ -348,3 +348,38 @@ def test_weighted_transpose_matches_dense_oracle(seed, width):
     assert np.abs(ops.quad_apply(a, f) - G.T @ A @ G @ f).max() <= 1e-12
     # rounds exactly as the two-apply form the training step uses
     assert ops.quad_apply(a, f).tobytes() == ops.grad_scaled_t(ops.grad_scaled(f), a=a).tobytes()
+
+
+def _same(u, v):
+    return u.shape == v.shape and u.tobytes() == v.tobytes()
+
+
+@pytest.mark.parametrize("width", [1, 2, 16])
+def test_apply_plan_rounds_as_the_broadcast_scales(width):
+    # a plan's (rows, C) scales give the bits of the (rows, 1) broadcasts, zeros in a included
+    for seed in (3, 17, 58):
+        ops = HypergraphOperators(random_hypergraph(seed))
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(0.0, 2.0, ops.N) * (rng.random(ops.N) > 0.3)
+        assert (a == 0).any()
+        plain, weighted = ops.apply_plan(width), ops.apply_plan(width, a)
+        G = scaled_gradient_matrix(ops)
+        for tail in [(width,)] + [()] * (width == 1):
+            f = rng.standard_normal((ops.n,) + tail)
+            y = rng.standard_normal((ops.N,) + tail)
+            ay = a.reshape((-1,) + (1,) * len(tail)) * y
+            assert np.abs(ops.grad_scaled_t(y, plan=weighted) - G.T @ ay).max() <= 1e-12
+            assert _same(ops.grad_scaled(f, plan=plain), ops.grad_scaled(f))
+            assert _same(ops.grad_scaled(f, plan=weighted), ops.grad_scaled(f))
+            assert _same(ops.grad_scaled_t(y, plan=plain), ops.grad_scaled_t(y))
+            assert _same(ops.grad_scaled_t(y, plan=weighted), ops.grad_scaled_t(y, a=a))
+
+
+def test_apply_plan_refuses_other_widths_and_a_second_a(h0_ops):
+    ops = h0_ops
+    plan = ops.apply_plan(3, np.ones(ops.N))
+    for f in (np.ones(ops.n), np.ones((ops.n, 1)), np.ones((ops.n, 2))):
+        with pytest.raises(ShapeMismatch):
+            ops.grad_scaled(f, plan=plan)
+    with pytest.raises(ShapeMismatch):
+        ops.grad_scaled_t(np.ones((ops.N, 3)), a=np.ones(ops.N), plan=plan)
