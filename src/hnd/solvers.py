@@ -3,6 +3,8 @@
 Schemes: explicit and implicit Euler, classical RK4, fourth-order
 Adams-Bashforth and Adams-Moulton (predictor-corrector), and an
 embedded Bogacki-Shampine 3(2) pair with proportional step control.
+The fixed-step explicit schemes share one loop, and no scheme evaluates
+the right-hand side twice at one state.
 
 The modulation argument everywhere is a weight vector, a
 ModulationWeights, or a callable ``x -> weights`` returning either.
@@ -112,10 +114,12 @@ class Trajectory:
     """Recorded states of one integration run.
 
     ``states[0]`` is the initial condition; ``step_sizes[k]`` is the tau
-    that produced ``states[k+1]``. ``weights[k]`` is A(states[k]) as the
-    run evaluated it: for every state under the frozen policy and in
-    implicit Euler, for all but the last in explicit Euler, else for none.
-    ``cg_iters[k]`` lists the iterations of each CG solve of implicit step k.
+    that produced ``states[k+1]``. ``weights[k]`` is A(states[k]) at every
+    state where the run evaluated the right-hand side or the modulation:
+    all but the last state for explicit Euler, RK4 and AB4/AM4, every
+    state for implicit Euler, the adaptive pair and the frozen policy.
+    ``rhs_evals`` counts the G^T A G applies. ``cg_iters[k]`` lists the
+    iterations of each CG solve of implicit step k.
     """
 
     times: list[float]
@@ -126,6 +130,15 @@ class Trajectory:
     rejected: int = 0
     weights: list[np.ndarray] = field(default_factory=list)
     cg_iters: list[list[int]] = field(default_factory=list)
+
+    def record(self, t: float, x: np.ndarray, tau: float) -> None:
+        """Append the accepted state x (kept, not copied: the schemes never
+        write into a state after it is recorded), reached at time t by a
+        step of size tau, and count it as accepted."""
+        self.times.append(t)
+        self.states.append(x)
+        self.step_sizes.append(tau)
+        self.accepted += 1
 
 
 def _weights_fn(ops, a):
@@ -158,16 +171,10 @@ def rhs(hg, a, x: np.ndarray) -> np.ndarray:
     return -ops.quad_apply(_weights_fn(ops, a)(x), np.asarray(x, dtype=np.float64))
 
 
-def step_explicit_euler(hg, a, x: np.ndarray, tau: float,
-                        traj: Trajectory | None = None) -> np.ndarray:
-    """One forward-Euler update with the modulation evaluated at x; with
-    ``traj``, appends A(x) to its ``weights`` and counts the apply."""
+def step_explicit_euler(hg, a, x: np.ndarray, tau: float) -> np.ndarray:
+    """One forward-Euler update with the modulation evaluated at x."""
     ops = as_operators(hg)
-    a_x = _weights_fn(ops, a)(x)
-    if traj is not None:
-        traj.rhs_evals += 1
-        traj.weights.append(a_x)
-    return x - tau * ops.quad_apply(a_x, x)
+    return x - tau * ops.quad_apply(_weights_fn(ops, a)(x), x)
 
 
 def step_implicit_euler(hg, a, x: np.ndarray, tau: float,
@@ -277,19 +284,54 @@ def _cg_solve(ops, a, b, tau, x0, tol, max_iter):
     return x, iters, True
 
 
+def _counted_rhs(ops, a_fn, traj: Trajectory):
+    """g(v) = (-G^T A(v) G v, A(v)), adding each call to ``traj.rhs_evals``."""
+    def g(v):
+        traj.rhs_evals += 1
+        a_v = a_fn(v)
+        return -ops.quad_apply(a_v, v), a_v
+    return g
+
+
+def _fixed_steps(ops, a_fn, x: np.ndarray, tau: float, steps: int, scheme: str) -> Trajectory:
+    """``steps`` steps of size tau of explicit Euler, RK4, or AB4/AM4 after
+    three RK4 start-up steps. Each step evaluates g once at its start
+    state: that value is the step's first stage, the Adams history entry,
+    and the state's recorded weights."""
+    if scheme in ("ab4", "am4") and steps < 4:
+        raise TooFewSteps(f"multistep schemes need >= 4 steps, got {steps}")
+    traj = Trajectory(times=[0.0], states=[x.copy()], step_sizes=[])
+    g = _counted_rhs(ops, a_fn, traj)
+    c, cm = AB4_COEFFICIENTS, AM4_COEFFICIENTS
+    history = []  # g at the last four start states, newest last
+    for k in range(steps):
+        k1, a_x = g(x)
+        traj.weights.append(a_x)
+        history = history[-3:] + [k1]
+        if scheme == "explicit_euler":
+            x = x + tau * k1
+        elif scheme == "rk4" or k < 3:
+            k2 = g(x + 0.5 * tau * k1)[0]
+            k3 = g(x + 0.5 * tau * k2)[0]
+            k4 = g(x + tau * k3)[0]
+            x = x + (tau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        else:
+            g3, g2, g1, g0 = history
+            pred = x + tau * (c[0] * g0 + c[1] * g1 + c[2] * g2 + c[3] * g3)
+            if scheme == "am4":
+                gp = g(pred)[0]
+                x = x + tau * (cm[0] * gp + cm[1] * g0 + cm[2] * g1 + cm[3] * g2)
+            else:
+                x = pred
+        traj.record((k + 1) * tau, x, tau)
+    return traj
+
+
 def step_rk4(hg, a, x: np.ndarray, tau: float) -> np.ndarray:
     """Classical four-stage fourth-order update on the diffusion flow."""
     ops = as_operators(hg)
-    a_fn = _weights_fn(ops, a)
-
-    def g(v):
-        return -ops.quad_apply(a_fn(v), v)
-
-    k1 = g(x)
-    k2 = g(x + 0.5 * tau * k1)
-    k3 = g(x + 0.5 * tau * k2)
-    k4 = g(x + tau * k3)
-    return x + (tau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return _fixed_steps(ops, _weights_fn(ops, a), np.asarray(x, dtype=np.float64),
+                        tau, 1, "rk4").states[-1]
 
 
 def integrate_multistep(hg, a, x0: np.ndarray, tau: float, steps: int,
@@ -300,45 +342,11 @@ def integrate_multistep(hg, a, x0: np.ndarray, tau: float, steps: int,
     predictor followed by one Adams-Moulton correction. A callable ``a``
     is evaluated at every right-hand-side evaluation.
     """
-    if steps < 4:
-        raise TooFewSteps(f"multistep schemes need >= 4 steps, got {steps}")
     if scheme not in ("ab4", "am4"):
         raise ValueError(f"unknown multistep scheme {scheme!r}")
     ops = as_operators(hg)
-    x = np.asarray(x0, dtype=np.float64)
-    a_fn = _weights_fn(ops, a)
-
-    traj = Trajectory(times=[0.0], states=[x.copy()], step_sizes=[])
-    def g(v):
-        traj.rhs_evals += 1
-        return -ops.quad_apply(a_fn(v), v)
-
-    history = [g(x)]
-    for k in range(3):
-        x = step_rk4(ops, a_fn, x, tau)
-        traj.rhs_evals += 4
-        traj.times.append((k + 1) * tau)
-        traj.states.append(x.copy())
-        traj.step_sizes.append(tau)
-        history.append(g(x))
-
-    c = AB4_COEFFICIENTS
-    cm = AM4_COEFFICIENTS
-    for k in range(3, steps):
-        g0, g1, g2, g3 = history[-1], history[-2], history[-3], history[-4]
-        pred = x + tau * (c[0] * g0 + c[1] * g1 + c[2] * g2 + c[3] * g3)
-        if scheme == "am4":
-            gp = g(pred)
-            x = x + tau * (cm[0] * gp + cm[1] * g0 + cm[2] * g1 + cm[3] * g2)
-        else:
-            x = pred
-        traj.times.append((k + 1) * tau)
-        traj.states.append(x.copy())
-        traj.step_sizes.append(tau)
-        history.append(g(x))
-        history.pop(0)
-    traj.accepted = steps
-    return traj
+    return _fixed_steps(ops, _weights_fn(ops, a), np.asarray(x0, dtype=np.float64),
+                        tau, steps, scheme)
 
 
 # Bogacki-Shampine 3(2) tableau, and the step controller's exponent
@@ -357,8 +365,12 @@ def integrate_adaptive(hg, a, x0: np.ndarray, horizon_T: float,
     exceed ``tol``. The next step is
     tau * min(max(fac_min, (tol/error)^{1/4}), fac_max) clamped to
     [tau_min, tau_max], and the final step is shortened to land exactly
-    on the horizon. A callable ``a`` is evaluated at every right-hand-side
-    evaluation, rejected stages included. A non-finite error estimate
+    on the horizon. The pair is first-same-as-last (Bogacki & Shampine,
+    *Appl. Math. Lett.* 2(4), 1989): the last stage g(x3) of an accepted
+    step is the next step's first, and a rejected step keeps its first
+    stage, so an attempt costs three evaluations after the first. A
+    callable ``a`` is evaluated at every right-hand-side evaluation,
+    rejected attempts' later stages included. A non-finite error estimate
     raises StepUnderflow, as no step size can make it acceptable.
     """
     spec = adaptive or AdaptiveSpec()
@@ -367,22 +379,19 @@ def integrate_adaptive(hg, a, x0: np.ndarray, horizon_T: float,
                       tau_min=spec.tau_min, tau_max=spec.tau_max)
     ops = as_operators(hg)
     x = np.asarray(x0, dtype=np.float64)
-    a_fn = _weights_fn(ops, a)
-
     traj = Trajectory(times=[0.0], states=[x.copy()], step_sizes=[])
-    def g(v):
-        traj.rhs_evals += 1
-        return -ops.quad_apply(a_fn(v), v)
+    g = _counted_rhs(ops, _weights_fn(ops, a), traj)
+    k1, a_x = g(x)
+    traj.weights.append(a_x)
 
     t = 0.0
     tau_ctrl = min(spec.tau_init, horizon_T)
     while t < horizon_T * (1.0 - 1e-14):
         tau = min(tau_ctrl, horizon_T - t)
-        k1 = g(x)
-        k2 = g(x + 0.5 * tau * k1)
-        k3 = g(x + 0.75 * tau * k2)
+        k2 = g(x + 0.5 * tau * k1)[0]
+        k3 = g(x + 0.75 * tau * k2)[0]
         x3 = x + tau * (_BS_B3[0] * k1 + _BS_B3[1] * k2 + _BS_B3[2] * k3)
-        k4 = g(x3)
+        k4, a_x3 = g(x3)
         x2 = x + tau * (_BS_B2[0] * k1 + _BS_B2[1] * k2 + _BS_B2[2] * k3 + _BS_B2[3] * k4)
         error = float(np.linalg.norm(x3 - x2))
         if not math.isfinite(error):
@@ -390,11 +399,9 @@ def integrate_adaptive(hg, a, x0: np.ndarray, horizon_T: float,
 
         if error <= spec.tol:
             t += tau
-            x = x3
-            traj.times.append(t)
-            traj.states.append(x.copy())
-            traj.step_sizes.append(tau)
-            traj.accepted += 1
+            x, k1 = x3, k4
+            traj.record(t, x, tau)
+            traj.weights.append(a_x3)
         else:
             traj.rejected += 1
 
@@ -416,27 +423,16 @@ def integrate(hg, a, x0: np.ndarray, spec: SolverSpec) -> Trajectory:
     if spec.modulation_policy == "frozen":
         a_fn = _weights_fn(ops, a_fn(x).copy())
 
-    if spec.scheme in ("ab4", "am4"):
-        traj = integrate_multistep(ops, a_fn, x, spec.tau, spec.steps, spec.scheme)
-    elif spec.scheme == "adaptive":
+    if spec.scheme == "adaptive":
         traj = integrate_adaptive(ops, a_fn, x, spec.horizon, spec.adaptive)
-    else:
-        traj = Trajectory(times=[0.0], states=[x.copy()], step_sizes=[])
-        if spec.scheme == "implicit_euler":
-            traj.weights.append(a_fn(x))
+    elif spec.scheme == "implicit_euler":
+        traj = Trajectory(times=[0.0], states=[x.copy()], step_sizes=[], weights=[a_fn(x)])
         for k in range(spec.steps):
-            if spec.scheme == "explicit_euler":
-                x = step_explicit_euler(ops, a_fn, x, spec.tau, traj=traj)
-            elif spec.scheme == "implicit_euler":
-                x = step_implicit_euler(ops, a_fn, x, spec.tau, spec.fp_tol, spec.fp_max_iter,
-                                        traj=traj, a_x=traj.weights[-1])
-            else:  # rk4
-                x = step_rk4(ops, a_fn, x, spec.tau)
-                traj.rhs_evals += 4
-            traj.times.append((k + 1) * spec.tau)
-            traj.states.append(x.copy())
-            traj.step_sizes.append(spec.tau)
-        traj.accepted = spec.steps
+            x = step_implicit_euler(ops, a_fn, x, spec.tau, spec.fp_tol, spec.fp_max_iter,
+                                    traj=traj, a_x=traj.weights[-1])
+            traj.record((k + 1) * spec.tau, x, spec.tau)
+    else:
+        traj = _fixed_steps(ops, a_fn, x, spec.tau, spec.steps, spec.scheme)
     if spec.modulation_policy == "frozen":
         traj.weights = [a_fn(x0)] * len(traj.states)
     return traj

@@ -262,6 +262,28 @@ def test_diffuse_explicit_evaluates_modulation_once_per_state(
     assert len(counted) == calls  # 4 distinct states under nl, 1 frozen under l
 
 
+@pytest.mark.parametrize("scheme", ["rk4", "ab4", "am4", "adaptive"])
+def test_diffuse_nl_reuses_the_modulation_of_every_rhs_eval(
+        h0_dataset_file, tmp_path, monkeypatch, scheme):
+    from hnd import modulation
+
+    counted = []
+    real_forward = modulation.scores_forward
+
+    def counting(*args, **kwargs):
+        counted.append(1)
+        return real_forward(*args, **kwargs)
+
+    monkeypatch.setattr(modulation, "scores_forward", counting)
+    out = tmp_path / scheme
+    assert main(["diffuse", "--dataset", h0_dataset_file, "--scheme", scheme, "--tau", "0.5",
+                 "--steps", "4", "--modulation", "softmax", "--variant", "nl",
+                 "--out", str(out)]) == 0
+    diag = json.loads((out / "diagnostics.json").read_text())
+    # the energy check evaluates A only where no stage did: the last state at most
+    assert len(counted) <= diag["rhs_evals"] + 1
+
+
 def test_diffuse_records_cg_iterations_per_implicit_step(h0_dataset_file, tmp_path):
     out = tmp_path / "cg"
     assert main(["diffuse", "--dataset", h0_dataset_file, "--scheme", "implicit_euler",

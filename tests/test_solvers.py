@@ -190,7 +190,9 @@ def test_implicit_euler_no_convergence_reports_residual(h0_setup):
     assert err.value.residual > 0
 
 
-def test_implicit_euler_counts_every_quad_apply(h0_setup):
+@pytest.mark.parametrize("policy", ["frozen", "recompute_each_step"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_implicit_euler_counts_every_quad_apply(h0_setup, scheme, policy):
     ops, a, _ = h0_setup
     x = np.array([[1.0, -0.5], [0.0, 2.0], [0.0, 0.3]])
     calls = {"k": 0}
@@ -201,7 +203,7 @@ def test_implicit_euler_counts_every_quad_apply(h0_setup):
         return original(*args)
 
     ops.quad_apply = counted
-    spec = SolverSpec(scheme="implicit_euler", tau=10.0, steps=3, fp_tol=1e-11)
+    spec = SolverSpec(scheme=scheme, tau=10.0, steps=4, modulation_policy=policy, fp_tol=1e-11)
     traj = integrate(ops, a, x, spec)
     assert traj.rhs_evals == calls["k"] > 0
 
@@ -425,6 +427,18 @@ def test_adaptive_tighter_tol_never_fewer_steps():
         traj = integrate_adaptive(ops, a, x0, 2.0, AdaptiveSpec(tol=tol, tau_init=0.05, tau_max=2.0))
         counts.append(traj.accepted)
     assert all(b >= a for a, b in zip(counts, counts[1:]))
+
+
+def test_adaptive_step_counts_are_pinned():
+    # the controller's decisions follow the error estimate, so a wrong
+    # weight in either solution of the pair moves these counts; the
+    # rejected attempts run the branch that keeps the first stage, and
+    # every attempt after the first costs three evaluations
+    ops = HypergraphOperators(random_hypergraph(5, n_max=14, m_max=10, size_max=5))
+    a = uniform_modulation(ops).values
+    x0 = np.random.default_rng(5).standard_normal((ops.n, 3))
+    traj = integrate_adaptive(ops, a, x0, 2.0, AdaptiveSpec(tol=1e-6, tau_init=0.05, tau_max=2.0))
+    assert (traj.accepted, traj.rejected, traj.rhs_evals) == (51, 18, 1 + 3 * (51 + 18))
 
 
 def test_adaptive_step_underflow(h0_setup):
