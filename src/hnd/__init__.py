@@ -33,7 +33,6 @@ from .modulation import (
     ModulationWeights,
     edge_features,
     normalize_modulation,
-    similarity_scores,
     uniform_modulation,
 )
 from .operators import (

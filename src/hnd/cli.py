@@ -2,11 +2,15 @@
 and solver/noise benchmarking with machine-readable outputs.
 
 Exit codes: 0 success, 2 config or validation error, 3 I/O error,
-4 numerical failure. Config precedence is command-line flag over config
-file over built-in default; the resolved config is echoed into every
-output document. A config-file value must have its flag's type (an
-integer given for a float is stored as a float; ``null`` stands only
-where the default is unset), or the command exits 2 naming the key.
+4 numerical failure: a solve that did not converge, an adaptive step
+underflow, or a flow that left the finite range (each command runs
+with numpy's overflow, invalid and divide errors raised, so a
+diverged flow stops before any output). Config precedence is
+command-line flag over config file over built-in default; the resolved
+config is echoed into every output document. A config-file value must
+have its flag's type (an integer given for a float is stored as a
+float; ``null`` stands only where the default is unset), or the
+command exits 2 naming the key.
 Output bodies contain no timestamps or wall-clock values; timing goes
 to a separate ``timing.json`` sidecar so reruns are byte-identical.
 
@@ -300,7 +304,6 @@ def _cmd_train(args) -> int:
     cfg = {"layers": None, **_resolve(args)}  # bench-noise echoes "layers": null
     ds = _train_dataset(cfg)
     config = _train_config(cfg)
-    out = _out_dir(args)
     t0 = time.perf_counter()
 
     if cfg["layers"] is not None:
@@ -329,6 +332,7 @@ def _cmd_train(args) -> int:
         body = {"command": "train", "report": _report_json(train_and_evaluate(ds, config))}
     body.update(library_version=__version__, config={k: cfg[k] for k in sorted(cfg)})
 
+    out = _out_dir(args)
     _write_file(os.path.join(out, "metrics.json"), json.dumps(body, sort_keys=True))
     _write_file(os.path.join(out, "timing.json"),
                 json.dumps({"wall_time_s": time.perf_counter() - t0}))
@@ -498,9 +502,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.fn(args)
     except (NoConvergence, StepUnderflow) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
+    except FloatingPointError as exc:
+        print(f"numerical failure: {type(exc).__name__}: {exc}: the values left the finite"
+              " range; explicit steps are stable only for tau * rho(G^T A G) <= 2",
+              file=sys.stderr)
         return 4
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -10,7 +10,6 @@ x_v / sqrt(d_v) should stay inside their initial per-column min/max.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,17 +27,6 @@ class EnergyReport:
     first_violation: int | None
     violation_magnitude: float
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "energies": self.energies.tolist(),
-                "monotone": self.monotone,
-                "first_violation": self.first_violation,
-                "violation_magnitude": self.violation_magnitude,
-            },
-            sort_keys=True,
-        )
-
 
 @dataclass
 class BoundsReport:
@@ -49,17 +37,6 @@ class BoundsReport:
     @property
     def max_violation(self) -> float:
         return float(self.worst_violation.max(initial=0.0))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "lower": self.lower.tolist(),
-                "upper": self.upper.tolist(),
-                "worst_violation": self.worst_violation.tolist(),
-                "max_violation": self.max_violation,
-            },
-            sort_keys=True,
-        )
 
 
 def energy(hg, a, x: np.ndarray) -> float:

@@ -30,7 +30,7 @@ class ModulationWeights:
 
     Instances produced by ``normalize_modulation`` and
     ``uniform_modulation`` additionally satisfy the per-node unit-sum
-    constraint; ``node_sums`` lets tests verify it.
+    constraint: ``ops.node_sum(weights.values)`` is all ones.
     """
 
     values: np.ndarray
@@ -42,9 +42,6 @@ class ModulationWeights:
         if not np.isfinite(v).all() or (v <= 0).any():
             raise ShapeMismatch("modulation weights must be finite and positive")
         object.__setattr__(self, "values", v)
-
-    def node_sums(self, ops: HypergraphOperators) -> np.ndarray:
-        return ops.node_sum(self.values)
 
 
 @dataclass
@@ -174,13 +171,6 @@ def _edge_features_backward(X, E, ops, agg, dE) -> np.ndarray:
     offset = np.maximum.accumulate(offset, axis=0)
     first = ismax & ((cum - offset) == 1)
     return ops.node_sum(np.take(dE, ops.pair_edge, axis=0) * first)
-
-
-def similarity_scores(params: AttentionParams, X: np.ndarray, hg, agg: str = "mean") -> np.ndarray:
-    """Scalar score per hyperedge-node pair."""
-    ops = as_operators(hg)
-    s, _ = scores_forward(params, X, ops, agg)
-    return s
 
 
 def normalize_modulation(s: np.ndarray, hg) -> ModulationWeights:

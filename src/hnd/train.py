@@ -17,6 +17,7 @@ its JSON body to keep output files reproducible.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import math
 import time
@@ -28,6 +29,7 @@ from . import __version__
 from .errors import InvalidRatios, ResultingIsolatedNode
 from .hypergraph import Dataset
 from .model import ModelParams, forward, loss_and_gradients
+from .operators import as_operators
 from .rng import make_rng
 from .solvers import SolverSpec, step_count
 from .synth import perturb_features, perturb_structure
@@ -284,13 +286,16 @@ def run_points(fn, items, max_workers: int) -> list:
     """Evaluate independent sweep points, optionally across worker threads.
 
     Results keep the submission order, so fan-out does not change output.
+    Each point runs in a copy of the caller's context, so a worker keeps
+    the caller's ``np.errstate`` (a context variable in numpy 2).
     """
     if max_workers <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(fn, items))
+        futures = [pool.submit(contextvars.copy_context().run, fn, x) for x in items]
+        return [f.result() for f in futures]
 
 
 def depth_sweep(dataset: Dataset, config: TrainConfig, layer_counts,
@@ -334,6 +339,9 @@ def _perturb_structure_retry(dataset: Dataset, rate: float, seed: int, retries: 
                            labels=dataset.labels, class_count=dataset.class_count)
         except ResultingIsolatedNode:
             continue
+    single = int((as_operators(dataset.hypergraph).incidence_count == 1).sum())
     raise ResultingIsolatedNode(
-        f"no isolated-node-free perturbation found in {retries} seeds"
+        f"no isolated-node-free perturbation found in {retries} seeds: {single} of "
+        f"{dataset.hypergraph.n} nodes lie in a single edge, and removing "
+        f"{int(rate * dataset.hypergraph.m)} edges orphaned one of them in every seed"
     )

@@ -9,6 +9,8 @@ import pytest
 
 import hnd
 from hnd.cli import main
+from hnd.synth import generate_sbm
+from hnd.train import TrainConfig, depth_sweep
 
 H0_TEXT = "3 2\n1.0 2 0 1\n1.0 3 0 1 2\n"
 H0_DATASET = json.dumps({
@@ -104,6 +106,42 @@ def test_diffuse_step_underflow_exits_4(h0_dataset_file, tmp_path):
                  "--tau", "0.5", "--horizon", "5", "--tol", "1e-16",
                  "--tau-min", "1e-3", "--out", str(tmp_path / "u")])
     assert code == 4
+
+
+@pytest.fixture(scope="module")
+def sbm7_file(tmp_path_factory):
+    out = tmp_path_factory.mktemp("sbm7")
+    assert main(["sbm", "--seed", "7", "--out", str(out)]) == 0
+    return str(out / "dataset.json")
+
+
+DIVERGED = {  # tau * rho(G^T A G) far above the explicit stability bound of 2
+    "diffuse": ["diffuse", "--scheme", "explicit_euler", "--tau", "50", "--steps", "400",
+                "--modulation", "uniform"],
+    "train-l": ["train", "--tau", "50", "--horizon", "10000", "--epochs", "2", "--hidden", "16",
+                "--splits", "1"],
+    "train-nl": ["train", "--tau", "50", "--horizon", "10000", "--epochs", "2", "--hidden", "16",
+                 "--splits", "1", "--variant", "nl"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIVERGED))
+def test_diverged_flow_exits_4_before_output(sbm7_file, tmp_path, capsys, name):
+    # diffuse once wrote NaN and Infinity with exit 0; train exited 2 blaming the weights
+    out = tmp_path / "o"
+    assert main([*DIVERGED[name], "--dataset", sbm7_file, "--out", str(out)]) == 4
+    assert "left the finite range" in capsys.readouterr().err
+    assert not (out / "metrics.json").exists() and not (out / "diagnostics.json").exists()
+
+
+def test_diverged_flow_exits_4_in_sweep_threads(sbm7_file, tmp_path, capsys, monkeypatch):
+    # worker threads run under the caller's np.errstate, not numpy's default
+    monkeypatch.setenv("HND_THREADS", "2")
+    out = tmp_path / "o"
+    assert main(["train", "--dataset", sbm7_file, "--tau", "50", "--layers", "1,200",
+                 "--epochs", "2", "--hidden", "16", "--splits", "1", "--out", str(out)]) == 4
+    assert "left the finite range" in capsys.readouterr().err
+    assert not (out / "metrics.json").exists()
 
 
 def test_diffuse_rerun_byte_identical(h0_dataset_file, tmp_path):
@@ -338,6 +376,16 @@ def test_bench_noise_command(tmp_path):
     assert body["noise"] == "structure"
 
 
+def test_structure_noise_failure_names_the_single_edge_nodes(tmp_path, capsys):
+    # removing 10 of the default dataset's 100 edges orphans a node in each of 32 noise seeds
+    ds = generate_sbm(250, 100, 15, 1, 4, 1.0, seed=0)
+    single = int((np.bincount(np.concatenate(ds.hypergraph.edges), minlength=500) == 1).sum())
+    assert main(["bench-noise", "--rates", "0.1", "--epochs", "2", "--hidden", "16",
+                 "--splits", "1", "--out", str(tmp_path / "bn")]) == 2
+    err = capsys.readouterr().err
+    assert "ResultingIsolatedNode" in err and f"{single} of 500 nodes lie in a single edge" in err
+
+
 def test_bench_solver_slopes(tmp_path):
     out = str(tmp_path / "b")
     assert main(["bench-solver", "--out", out]) == 0
@@ -478,15 +526,17 @@ def test_degenerate_step_and_width_flags_exit_2_before_output(
     assert not out.exists()
 
 
-SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
-
-
-@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
-def test_script_help_runs(script):
-    # --help imports every name a script uses from hnd, and runs nothing else
-    src = str(Path(hnd.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, str(script), "--help"], env=env, capture_output=True,
-                          text=True, timeout=60)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.startswith("usage:")
+def test_depth_recipe_matches_the_library_sweep(tmp_path):
+    # the README recipes write the dataset with one seed and train with another
+    data, out = tmp_path / "d", tmp_path / "t"
+    assert main(["sbm", "--seed", "2024", "--out", str(data)]) == 0
+    assert main(["train", "--dataset", str(data / "dataset.json"), "--seed", "0",
+                 "--hidden", "16", "--tau", "1", "--layers", "0,2", "--epochs", "2",
+                 "--splits", "2", "--out", str(out)]) == 0
+    points = json.loads((out / "metrics.json").read_text())["points"]
+    expected = depth_sweep(generate_sbm(250, 100, 15, 1, 4, 1.0, seed=2024),
+                           TrainConfig(hidden_dim=16, tau=1.0, epochs=2, base_seed=0,
+                                       split_count=2), [0, 2])
+    assert [(p["layers"], p["report"]["mean_test_accuracy"], p["report"]["std_test_accuracy"])
+            for p in points] == [(e["layers"], e["report"].mean_test_accuracy,
+                                  e["report"].std_test_accuracy) for e in expected]

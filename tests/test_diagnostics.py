@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -103,17 +101,6 @@ def test_energy_increase_flagged_above_sharp_bound(h0_ops):
     assert report.violation_magnitude > 0
 
 
-def test_energy_report_json(h0_ops):
-    a = uniform_modulation(h0_ops).values
-    x = make_rng(0).standard_normal((3, 1))
-    traj = integrate(h0_ops, a, x, SolverSpec(scheme="explicit_euler", tau=0.5,
-                                              steps=3, modulation_policy="frozen"))
-    report = energy_monotonicity(h0_ops, traj, a)
-    obj = json.loads(report.to_json())
-    assert set(obj) == {"energies", "monotone", "first_violation", "violation_magnitude"}
-    assert len(obj["energies"]) == 4
-
-
 def test_max_principle_constant_start(h0_ops):
     x = h0_ops.sqrt_d.reshape(3, 1) * 2.5
     a = uniform_modulation(h0_ops).values
@@ -144,13 +131,6 @@ def test_max_principle_implicit_large_step():
     y = step_implicit_euler(ops, a, x0, 10.0, fp_tol=1e-11)
     traj = Trajectory(times=[0.0, 10.0], states=[x0, y], step_sizes=[10.0])
     assert max_principle(ops, traj).max_violation <= 1e-9
-
-
-def test_bounds_report_json(h0_ops):
-    x = make_rng(1).standard_normal((3, 2))
-    traj = Trajectory(times=[0.0], states=[x], step_sizes=[])
-    obj = json.loads(max_principle(h0_ops, traj).to_json())
-    assert set(obj) == {"lower", "upper", "worst_violation", "max_violation"}
 
 
 def test_spectral_radius_h0_matches_dense(h0_ops):
@@ -244,6 +224,11 @@ def test_spectral_radius_requires_iters(h0_ops):
         spectral_radius(h0_ops, a, iters=0)
 
 
+def _fields(report):
+    return (report.energies.tolist(), report.monotone, report.first_violation,
+            report.violation_magnitude)
+
+
 def test_diagnostics_accept_every_modulation_form():
     ops = HypergraphOperators(random_hypergraph(77))
     rng = make_rng(77)
@@ -254,7 +239,7 @@ def test_diagnostics_accept_every_modulation_form():
     energies = [energy(ops, a, x0) for a in forms]
     assert all(e == energies[0] for e in energies)
     reports = [energy_monotonicity(ops, traj, a) for a in forms]
-    assert all(r.to_json() == reports[0].to_json() for r in reports)
+    assert all(_fields(r) == _fields(reports[0]) for r in reports)
     assert spectral_radius(ops, weights) == spectral_radius(ops, weights.values)
 
 
@@ -276,6 +261,6 @@ def test_recorded_weights_spare_modulation_repeats():
     assert all(not np.array_equal(u, v) for i, u in enumerate(seen) for v in seen[:i])
     assert all(any(np.array_equal(s, x) for x in seen) for s in traj.states)
     fresh = energy_monotonicity(ops, traj, a_fn)
-    assert report.to_json() == fresh.to_json()
+    assert _fields(report) == _fields(fresh)
     with pytest.raises(ShapeMismatch):
         energy_monotonicity(ops, traj, traj.weights[1:])

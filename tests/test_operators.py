@@ -153,6 +153,12 @@ def test_dense_oracle_too_large():
             build(_ring(1001))
 
 
+def test_too_large_names_the_entry_count():
+    # G of a 1000-node ring is 2000 x 1000
+    with pytest.raises(TooLarge, match=r"would hold 2000000 entries$"):
+        scaled_gradient_matrix(_ring(1000))
+
+
 def _incidence(ops):
     """Dense N x n pair-to-node and N x m pair-to-edge selectors."""
     B = np.zeros((ops.N, ops.n))
