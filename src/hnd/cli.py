@@ -15,7 +15,7 @@ Output bodies contain no timestamps or wall-clock values; timing goes
 to a separate ``timing.json`` sidecar so reruns are byte-identical.
 
 ``HND_THREADS`` caps the worker count used to fan out sweep points;
-unset means sequential execution.
+unset or empty means sequential execution, and a non-integer or < 1 exits 2.
 """
 
 from __future__ import annotations
@@ -74,9 +74,12 @@ def _out_dir(args) -> str:
 def _max_workers() -> int:
     raw = os.environ.get("HND_THREADS", "")
     try:
-        return max(1, int(raw))
+        workers = int(raw or 1)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"HND_THREADS must be an integer >= 1, got {raw!r}")
+    return workers
 
 
 def _load_config_file(path: str, allowed: set) -> dict:
@@ -300,15 +303,25 @@ def _report_json(report) -> dict:
     return json.loads(report.to_json())
 
 
+# (option, other, whether the option needs the other): the depth sweep ignores
+# the noise options, and only a noise sweep reads the rates
+_SWEEP_RULES = (("layers", "noise", False), ("layers", "rates", False), ("rates", "noise", True))
+
+
 def _cmd_train(args) -> int:
     cfg = {"layers": None, **_resolve(args)}  # bench-noise echoes "layers": null
+    for key, other, needs in _SWEEP_RULES:  # exit 2 rather than echo an ignored option
+        if cfg[key] is not None and (cfg[other] is not None) != needs:
+            raise ValueError(f"option {key!r} {'needs' if needs else 'excludes'} option "
+                             f"{other!r}; train would ignore one of them")
+    workers = _max_workers()
     ds = _train_dataset(cfg)
     config = _train_config(cfg)
     t0 = time.perf_counter()
 
     if cfg["layers"] is not None:
         layer_counts = _parse_list(cfg["layers"], int)
-        results = depth_sweep(ds, config, layer_counts, max_workers=_max_workers())
+        results = depth_sweep(ds, config, layer_counts, max_workers=workers)
         body = {
             "command": "depth_sweep",
             "points": [
@@ -318,8 +331,7 @@ def _cmd_train(args) -> int:
         }
     elif cfg["noise"] is not None:
         rates = _parse_list(cfg["rates"] or "0.1,0.2,0.3,0.4")
-        results = noise_sweep(ds, config, cfg["noise"], rates,
-                              max_workers=_max_workers())
+        results = noise_sweep(ds, config, cfg["noise"], rates, max_workers=workers)
         body = {
             "command": "noise_sweep",
             "noise": cfg["noise"],

@@ -46,7 +46,7 @@ class InvalidRate(HndError):
 
 
 class ResultingIsolatedNode(HndError):
-    """Structure perturbation orphaned a node; retry with a new seed."""
+    """A generated or perturbed hypergraph cannot cover every node."""
 
 
 class NoConvergence(HndError):

@@ -134,13 +134,13 @@ def perturb_features(X: np.ndarray, kind: str, rate: float, seed: int) -> np.nda
 
 
 def perturb_structure(hg: Hypergraph, rate: float, seed: int) -> Hypergraph:
-    """Remove floor(rate * m) random edges and add as many fake ones.
+    """Remove floor(rate * m) random edges and append as many fake ones.
 
     Each fake edge copies the size and weight of a uniformly drawn
-    original edge and fills it with a uniform random node subset. The
-    result must still validate; if the removal orphans a node the call
-    raises ResultingIsolatedNode and the caller may retry with another
-    seed.
+    original edge. The nodes the removal leaves in no edge take uniformly
+    drawn fake-edge slots first, one each; every fake edge fills its other
+    slots with distinct uniform nodes. Raises ResultingIsolatedNode only
+    when these orphans outnumber the fake edges' slots.
     """
     if not 0.0 <= rate <= 1.0:
         raise InvalidRate(f"rate must lie in [0, 1], got {rate}")
@@ -148,19 +148,22 @@ def perturb_structure(hg: Hypergraph, rate: float, seed: int) -> Hypergraph:
     if k == 0:
         return hg
     rng = make_rng(seed)
-    removed = set(rng.choice(hg.m, size=k, replace=False).tolist())
-    edges = [list(e) for i, e in enumerate(hg.edges) if i not in removed]
-    weights = [w for i, w in enumerate(hg.weights) if i not in removed]
-    for _ in range(k):
-        template = int(rng.integers(0, hg.m))
-        size = len(hg.edges[template])
-        members = rng.choice(hg.n, size=size, replace=False)
-        edges.append(sorted(int(v) for v in members))
-        weights.append(hg.weights[template])
-    covered = np.zeros(hg.n, dtype=bool)
-    for e in edges:
-        covered[e] = True
-    if not covered.all():
-        orphan = int(np.flatnonzero(~covered)[0])
-        raise ResultingIsolatedNode(f"perturbation orphaned node {orphan}")
-    return Hypergraph(n=hg.n, edges=tuple(tuple(e) for e in edges), weights=tuple(weights))
+    kept = np.setdiff1d(np.arange(hg.m), rng.choice(hg.m, size=k, replace=False))
+    templates = rng.integers(0, hg.m, size=k)
+    sizes = [len(hg.edges[t]) for t in templates]
+    orphans = np.setdiff1d(np.arange(hg.n), [v for i in kept for v in hg.edges[i]])
+    if orphans.size > sum(sizes):
+        raise ResultingIsolatedNode(
+            f"removing {k} edges left {orphans.size} nodes in no edge, more than the "
+            f"{sum(sizes)} member slots of the {k} fake edges"
+        )
+    # orphan i takes a distinct slot of fake edge home[i]
+    home = rng.permutation(np.repeat(np.arange(k), sizes))[:orphans.size]
+    edges = [hg.edges[i] for i in kept]
+    for j, size in enumerate(sizes):
+        held = orphans[home == j]
+        free = np.setdiff1d(np.arange(hg.n), held, assume_unique=True)
+        fill = rng.choice(free, size=size - held.size, replace=False)
+        edges.append(tuple(sorted(held.tolist() + fill.tolist())))
+    weights = [hg.weights[i] for i in kept] + [hg.weights[t] for t in templates]
+    return Hypergraph(n=hg.n, edges=tuple(edges), weights=tuple(weights))

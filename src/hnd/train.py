@@ -26,10 +26,9 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .errors import InvalidRatios, ResultingIsolatedNode
+from .errors import InvalidRatios
 from .hypergraph import Dataset
 from .model import ModelParams, forward, loss_and_gradients
-from .operators import as_operators
 from .rng import make_rng
 from .solvers import SolverSpec, step_count
 from .synth import perturb_features, perturb_structure
@@ -255,8 +254,7 @@ def standardize_features(dataset: Dataset) -> Dataset:
     X = dataset.features
     mu = X.mean(axis=0)
     sd = np.maximum(X.std(axis=0), 1e-12)
-    return Dataset(hypergraph=dataset.hypergraph, features=(X - mu) / sd,
-                   labels=dataset.labels, class_count=dataset.class_count)
+    return replace(dataset, features=(X - mu) / sd)
 
 
 def train_and_evaluate(dataset: Dataset, config: TrainConfig) -> MetricsReport:
@@ -309,8 +307,7 @@ def depth_sweep(dataset: Dataset, config: TrainConfig, layer_counts,
 
 
 def noise_sweep(dataset: Dataset, config: TrainConfig, kind: str, rates,
-                noise_seed: int = 1234, retries: int = 32,
-                max_workers: int = 1) -> list:
+                noise_seed: int = 1234, max_workers: int = 1) -> list:
     """Accuracy-versus-rate curve for feature or structure perturbations."""
     if kind not in ("structure", "gaussian", "uniform", "mask"):
         raise ValueError(f"unknown noise kind {kind!r}")
@@ -318,30 +315,11 @@ def noise_sweep(dataset: Dataset, config: TrainConfig, kind: str, rates,
     def point(rate):
         rate = float(rate)
         if kind == "structure":
-            noisy = _perturb_structure_retry(dataset, rate, noise_seed, retries)
+            noisy = replace(dataset, hypergraph=perturb_structure(
+                dataset.hypergraph, rate, noise_seed))
         else:
-            noisy = Dataset(
-                hypergraph=dataset.hypergraph,
-                features=perturb_features(dataset.features, kind, rate, noise_seed),
-                labels=dataset.labels,
-                class_count=dataset.class_count,
-            )
+            noisy = replace(dataset, features=perturb_features(
+                dataset.features, kind, rate, noise_seed))
         return {"rate": rate, "report": train_and_evaluate(noisy, config)}
 
     return run_points(point, list(rates), max_workers)
-
-
-def _perturb_structure_retry(dataset: Dataset, rate: float, seed: int, retries: int) -> Dataset:
-    for attempt in range(retries):
-        try:
-            hg = perturb_structure(dataset.hypergraph, rate, seed + attempt)
-            return Dataset(hypergraph=hg, features=dataset.features,
-                           labels=dataset.labels, class_count=dataset.class_count)
-        except ResultingIsolatedNode:
-            continue
-    single = int((as_operators(dataset.hypergraph).incidence_count == 1).sum())
-    raise ResultingIsolatedNode(
-        f"no isolated-node-free perturbation found in {retries} seeds: {single} of "
-        f"{dataset.hypergraph.n} nodes lie in a single edge, and removing "
-        f"{int(rate * dataset.hypergraph.m)} edges orphaned one of them in every seed"
-    )

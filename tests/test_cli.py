@@ -376,14 +376,23 @@ def test_bench_noise_command(tmp_path):
     assert body["noise"] == "structure"
 
 
-def test_structure_noise_failure_names_the_single_edge_nodes(tmp_path, capsys):
-    # removing 10 of the default dataset's 100 edges orphans a node in each of 32 noise seeds
-    ds = generate_sbm(250, 100, 15, 1, 4, 1.0, seed=0)
-    single = int((np.bincount(np.concatenate(ds.hypergraph.edges), minlength=500) == 1).sum())
-    assert main(["bench-noise", "--rates", "0.1", "--epochs", "2", "--hidden", "16",
-                 "--splits", "1", "--out", str(tmp_path / "bn")]) == 2
-    err = capsys.readouterr().err
-    assert "ResultingIsolatedNode" in err and f"{single} of 500 nodes lie in a single edge" in err
+def test_structure_noise_runs_on_the_default_dataset(tmp_path):
+    # the removals orphan 6, 28, 47 and 63 of its 500 nodes, which the fake edges take in
+    out = tmp_path / "bn"
+    assert main(["bench-noise", "--rates", "0.1,0.2,0.3,0.4", "--epochs", "2", "--hidden", "8",
+                 "--splits", "1", "--out", str(out)]) == 0
+    body = json.loads((out / "metrics.json").read_text())
+    assert [p["rate"] for p in body["points"]] == [0.1, 0.2, 0.3, 0.4]
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "-1", "1.5"])
+def test_bad_hnd_threads_exits_2(tmp_path, capsys, monkeypatch, threads):
+    # once read as sequential without a word
+    monkeypatch.setenv("HND_THREADS", threads)
+    out = tmp_path / "o"
+    assert main(["train"] + TRAIN_ARGS + ["--layers", "1,2", "--out", str(out)]) == 2
+    assert "HND_THREADS" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bench_solver_slopes(tmp_path):

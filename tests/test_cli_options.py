@@ -47,6 +47,28 @@ def test_mistyped_config_value_exits_2(tmp_path, capsys, command, cfg):
     assert not out.exists()
 
 
+# Sweep options that train ignored but still echoed into metrics.json. Each
+# must exit 2 naming both keys, before any output, by flag or config file.
+@pytest.mark.parametrize("cfg,named", [
+    pytest.param({"layers": "2", "noise": "gaussian"}, ("layers", "noise"),
+                 id="layers-ran-depth-sweep-echoed-noise"),
+    pytest.param({"layers": "2", "rates": "0.1"}, ("layers", "rates"),
+                 id="layers-ran-depth-sweep-echoed-rates"),
+    pytest.param({"rates": "0.1"}, ("rates", "noise"), id="rates-ran-plain-train"),
+])
+@pytest.mark.parametrize("by_file", [False, True], ids=["flag", "config"])
+def test_ignored_sweep_option_exits_2(tmp_path, capsys, cfg, named, by_file):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    argv = ["--config", str(path)] if by_file else \
+        [f"--{key}={value}" for key, value in cfg.items()]
+    out = tmp_path / "out"
+    assert main(["train", *SBM_ARGS, *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert all(f"'{key}'" in err for key in named)
+    assert not out.exists()
+
+
 def test_integer_for_float_key_is_echoed_as_float(tmp_path):
     dataset = tmp_path / "h0.json"
     dataset.write_text(H0_DATASET)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hnd.errors import EdgeSizeExceedsClass, InvalidAlpha, InvalidRate
-from hnd.hypergraph import hypergraph_to_text, parse_hypergraph
+from hnd.errors import EdgeSizeExceedsClass, InvalidAlpha, InvalidRate, ResultingIsolatedNode
+from hnd.hypergraph import Hypergraph, hypergraph_to_text, parse_hypergraph
 from hnd.synth import generate_sbm, perturb_features, perturb_structure
 
 from conftest import random_hypergraph
@@ -114,30 +114,35 @@ def test_perturb_structure_rate_zero_identity():
 
 
 def test_perturb_structure_counts():
-    # dense enough that degree-1 nodes are rare and the seed succeeds
-    ds = generate_sbm(50, 150, 8, 1, 2, 1.0, seed=5)
-    hg = ds.hypergraph
-    out = perturb_structure(hg, 0.4, seed=12)
-    assert out.m == hg.m and out.n == hg.n
-    removed = 60  # floor(0.4 * 150)
-    kept = sum(1 for e in out.edges if e in set(hg.edges))
-    assert kept >= hg.m - removed
+    # the default `hnd sbm` dataset has 90 nodes in a single edge; the dense one has none
+    for ds, rate in [(generate_sbm(50, 150, 8, 1, 2, 1.0, seed=5), 0.4),
+                     *((generate_sbm(250, 100, 15, 1, 4, 1.0, seed=0), r) for r in (0.1, 0.4, 1.0))]:
+        hg = ds.hypergraph
+        out = perturb_structure(hg, rate, seed=12)
+        k = int(rate * hg.m)
+        assert out.n == hg.n and out.m == hg.m
+        # the kept edges come first, in their original order, and exactly k are gone
+        kept = iter(zip(hg.edges, hg.weights))
+        assert all(pair in kept for pair in zip(out.edges[:hg.m - k], out.weights[:hg.m - k]))
+        sizes = {len(e) for e in hg.edges}
+        assert all(len(e) in sizes for e in out.edges[hg.m - k:])
 
 
 def test_perturb_structure_outputs_validate():
-    from hnd.errors import ResultingIsolatedNode
-
     ds = generate_sbm(60, 300, 6, 1, 2, 1.0, seed=5)
-    successes = 0
     for seed in range(100):
-        try:
-            out = perturb_structure(ds.hypergraph, 0.3, seed=seed)
-        except ResultingIsolatedNode:
-            continue
-        successes += 1
+        out = perturb_structure(ds.hypergraph, 0.3, seed=seed)
         # survives a full reparse-level validation round trip
         assert parse_hypergraph(hypergraph_to_text(out)) == out
-    assert successes >= 90
+
+
+def test_perturb_structure_raises_when_orphans_outnumber_fake_slots():
+    # seed 6 removes the 20-node edge, orphaning 20 nodes, and gives the one fake
+    # edge a pair's size, so 2 slots
+    hg = Hypergraph(n=38, edges=(tuple(range(20)), *((v, v + 1) for v in range(20, 38, 2))),
+                    weights=(1.0,) * 10)
+    with pytest.raises(ResultingIsolatedNode, match="20 nodes in no edge, more than the 2 "):
+        perturb_structure(hg, 0.1, seed=6)
 
 
 def test_perturb_structure_deterministic():
