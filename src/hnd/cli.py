@@ -314,6 +314,8 @@ def _cmd_train(args) -> int:
         if cfg[key] is not None and (cfg[other] is not None) != needs:
             raise ValueError(f"option {key!r} {'needs' if needs else 'excludes'} option "
                              f"{other!r}; train would ignore one of them")
+        if cfg[key] is not None and not _parse_list(cfg[key]):
+            raise ValueError(f"option {key!r} lists no values; a sweep needs at least one")
     workers = _max_workers()
     ds = _train_dataset(cfg)
     config = _train_config(cfg)

@@ -22,6 +22,8 @@ encoded state gets V_0 w_out^T, and w_out gets x0^T V_0. Implicit Euler
 and the adaptive scheme stop at a tolerance or a norm, so they integrate
 at the hidden width. ``nl`` adds a full-rank modulation term to the
 state adjoint at every step, so it stays at the hidden width throughout.
+Each training step, forward or adjoint, is one ``ops.euler_step`` call;
+``l`` passes it the apply plan of its frozen a, built once per pass.
 """
 
 from __future__ import annotations
@@ -185,18 +187,17 @@ def _frozen_pass(params, ops, x0, tau, steps, agg):
     s, cache = scores_forward(params.attention, x0, ops, agg)
     a = normalize_modulation(s, ops).values
     z = x0 @ params.w_out
-    plan = ops.apply_plan(z.shape[1], a)  # a is fixed for all 2 * steps applies
+    plan = ops.apply_plan(z.shape[1], a)  # a is fixed for all 2 * steps Euler steps
     gzs = []            # G z_k per step
     for _ in range(steps):
-        gzs.append(ops.grad_scaled(z, plan=plan))
-        z = z - tau * ops.grad_scaled_t(gzs[-1], plan=plan)
+        z, gz = ops.euler_step(z, tau, plan=plan)
+        gzs.append(gz)
 
     def backward(dlogits):
         v, da = dlogits, np.zeros(ops.N)
         for gz in reversed(gzs):
-            gv = ops.grad_scaled(v, plan=plan)
+            v, gv = ops.euler_step(v, tau, plan=plan)
             da -= tau * np.einsum("ij,ij->i", gv, gz)
-            v = v - tau * ops.grad_scaled_t(gv, plan=plan)
         g_att, dX_mod = scores_backward(params.attention, ops, cache, softmax_backward(a, ops, da))
         return g_att, v @ params.w_out.T + dX_mod, x0.T @ v
     return z, backward
@@ -208,17 +209,15 @@ def _recompute_pass(params, ops, x, tau, steps, agg):
     for _ in range(steps):
         s, cache = scores_forward(params.attention, x, ops, agg)
         a = normalize_modulation(s, ops).values
-        gx = ops.grad_scaled(x)
+        x, gx = ops.euler_step(x, tau, a=a)
         steps_cache.append((a, cache, gx))
-        x = x - tau * ops.grad_scaled_t(gx, a=a)
 
     def backward(dlogits):
         g_att = params.attention.zeros_like()
         dX = dlogits @ params.w_out.T
         for a, cache, gx in reversed(steps_cache):
-            gd = ops.grad_scaled(dX)
+            dX, gd = ops.euler_step(dX, tau, a=a)
             da = -tau * np.einsum("ij,ij->i", gd, gx)
-            dX = dX - tau * ops.grad_scaled_t(gd, a=a)
             g_step, dX_mod = scores_backward(params.attention, ops, cache,
                                              softmax_backward(a, ops, da))
             _accumulate(g_att, g_step)

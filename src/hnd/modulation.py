@@ -120,7 +120,7 @@ def scores_forward(params: AttentionParams, X: np.ndarray, ops: HypergraphOperat
     E = edge_features(X, ops, agg)
     proj_n = X @ params.projection.T
     proj_e = E @ params.projection.T
-    w_n, w_e = np.split(params.hidden_w, 2, axis=1)
+    w_n, w_e = params.hidden_w[:, :X.shape[1]], params.hidden_w[:, X.shape[1]:]
     pre_h = np.take(proj_n @ w_n.T, ops.pair_node, axis=0)
     pre_h += np.take(proj_e @ w_e.T + params.hidden_b, ops.pair_edge, axis=0)
     H = _leaky(pre_h, params.leaky_slope)
@@ -146,7 +146,7 @@ def scores_backward(params: AttentionParams, ops: HypergraphOperators, cache, ds
     de = ops.edge_sum(d_pre_h)
     g_hidden_w = np.concatenate([dn.T @ proj_n, de.T @ proj_e], axis=1)
     g_hidden_b = de.sum(axis=0)
-    w_n, w_e = np.split(params.hidden_w, 2, axis=1)
+    w_n, w_e = params.hidden_w[:, :X.shape[1]], params.hidden_w[:, X.shape[1]:]
     d_proj_n = dn @ w_n
     d_proj_e = de @ w_e
 

@@ -22,12 +22,12 @@ centers the pair array it allocates in place, not in a copy, and keeps
 no per-call state, so the workspace that ``as_operators`` caches per
 hypergraph gives deterministic results to any number of threads.
 
-Each apply multiplies by per-row scales: 1/sqrt(d_v) (n rows), 1/|e|
-(m rows), sqrt(w_e) and sqrt(w_e) a (N rows). By default these are
-(rows, 1) views that numpy broadcasts. A caller that applies G and
-G^T diag(a) many times at one width C and one a builds an ``apply_plan``
-once: it holds them as (rows, C) copies, which multiply without the
-broadcast, at half its cost or less, and round identically.
+Training runs every explicit-Euler step through ``euler_step``: one flat
+body returns x - tau G^T diag(a) G x and the G x its adjoint reads, rounding
+as the two applies. Its per-row scales 1/sqrt(d_v), 1/|e|, sqrt(w_e) and
+sqrt(w_e) a are (rows, 1) views that numpy broadcasts; for a frozen a,
+``apply_plan(C, a)`` holds them as (rows, C) copies built once, which
+multiply without the broadcast and round identically.
 
 ``scaled_gradient_matrix`` and ``laplacian_matrix`` build G and L as dense
 arrays from their closed forms. They serve only as oracles (tests, the
@@ -50,11 +50,6 @@ DENSE_LIMIT = 10**6
 def _rows(x: np.ndarray) -> np.ndarray:
     """View a 1-D or (rows, d) signal as (rows, d)."""
     return x.reshape(len(x), -1)
-
-
-def _flat_index(index: np.ndarray, width: int) -> np.ndarray:
-    """Row-major slots index * width + j of a (len(index), width) row scatter."""
-    return (index[:, None] * width + np.arange(width)).ravel()
 
 
 class HypergraphOperators:
@@ -96,51 +91,65 @@ class HypergraphOperators:
         """Sum pair-aligned values over each node's incident pairs."""
         cols = _rows(pair_values)
         width = cols.shape[1]
+        sums = np.bincount(self._node_slots(width), weights=cols.ravel(), minlength=self.n * width)
+        return sums.reshape((self.n,) + pair_values.shape[1:])
+
+    def _node_slots(self, width: int) -> np.ndarray:
+        """Row-major slots pair_node * width + j of a (N, width) node sum, built once per width."""
         index = self._node_index.get(width)
         if index is None:
-            index = self._node_index.setdefault(width, _flat_index(self.pair_node, width))
-        sums = np.bincount(index, weights=cols.ravel(), minlength=self.n * width)
-        return sums.reshape((self.n,) + pair_values.shape[1:])
+            index = (self.pair_node[:, None] * width + np.arange(width)).ravel()
+            index = self._node_index.setdefault(width, index)
+        return index
 
     # ---- applies; 1-D signals in, 1-D out ----
 
     def apply_plan(self, width: int, a: np.ndarray | None = None) -> "ApplyPlan":
-        """The scales of the applies to ``width`` columns, as same-shape copies."""
-        return ApplyPlan(*(np.repeat(s, width, axis=1) for s in self._plan(None, None, a)))
+        """The scales of ``euler_step`` at ``width`` columns and a fixed a, as same-shape copies."""
+        return ApplyPlan(*(np.repeat(s, width, axis=1) for s in self._scales(a)))
 
-    def _plan(self, x, plan, a=None) -> "ApplyPlan":
-        """``plan``, checked against the columns of x, or (rows, 1) views of the scales."""
-        if plan is None:
-            sw = self.sqrt_w_pair[:, None]
-            return ApplyPlan(self.inv_sqrt_d[:, None], self.inv_size[:, None], sw,
-                             sw if a is None else (self.sqrt_w_pair * a)[:, None])
-        if a is not None or plan.sqrt_w.shape[1] not in (1, _rows(x).shape[1]):
-            raise ShapeMismatch(f"a width-{plan.sqrt_w.shape[1]} plan, which fixes a, cannot "
-                                f"take a signal of shape {x.shape} or another a")
-        return plan
+    def _scales(self, a=None) -> "ApplyPlan":
+        """The scales as (rows, 1) views, with sqrt(w_e) a = sqrt(w_e) if a is None."""
+        sw = self.sqrt_w_pair[:, None]
+        return ApplyPlan(self.inv_sqrt_d[:, None], self.inv_size[:, None], sw,
+                         sw if a is None else (self.sqrt_w_pair * a)[:, None])
 
-    def grad(self, f: np.ndarray, plan: "ApplyPlan | None" = None) -> np.ndarray:
+    def grad(self, f: np.ndarray) -> np.ndarray:
         """Deviation of each member from its edge's normalized mean."""
-        p = self._plan(f, plan)
-        gathered = np.take(_rows(f) * p.inv_sqrt_d, self.pair_node, axis=0)
-        return self._center(gathered, p).reshape(-1, *f.shape[1:])
+        gathered = np.take(_rows(f) * self.inv_sqrt_d[:, None], self.pair_node, axis=0)
+        return self._center(gathered, self.inv_size[:, None]).reshape(-1, *f.shape[1:])
 
     def div(self, g: np.ndarray) -> np.ndarray:
         """Adjoint of grad: weighted net flux imbalance per node."""
         return self._collect(_rows(g) * self.w_pair[:, None]).reshape(-1, *g.shape[1:])
 
-    def grad_scaled(self, f: np.ndarray, plan: "ApplyPlan | None" = None) -> np.ndarray:
+    def grad_scaled(self, f: np.ndarray) -> np.ndarray:
         """Apply G = S^{1/2} (B - C) Dv^{-1/2}."""
-        p = self._plan(f, plan)
-        out = _rows(self.grad(f, plan=p))
-        out *= p.sqrt_w
+        out = _rows(self.grad(f))
+        out *= self.sqrt_w_pair[:, None]
         return out.reshape(-1, *f.shape[1:])
 
-    def grad_scaled_t(self, y: np.ndarray, a: np.ndarray | None = None,
-                      plan: "ApplyPlan | None" = None) -> np.ndarray:
-        """Apply G^T, or G^T diag(a) for a pair-aligned diagonal a (a plan carries its own a)."""
-        p = self._plan(y, plan, a)
-        return self._collect(_rows(y) * p.sqrt_w_a, p).reshape(-1, *y.shape[1:])
+    def grad_scaled_t(self, y: np.ndarray, a: np.ndarray | None = None) -> np.ndarray:
+        """Apply G^T, or G^T diag(a) for a pair-aligned diagonal a."""
+        return self._collect(_rows(y) * self._scales(a).sqrt_w_a).reshape(-1, *y.shape[1:])
+
+    def euler_step(self, x: np.ndarray, tau: float, a: np.ndarray | None = None,
+                   plan: "ApplyPlan | None" = None) -> tuple[np.ndarray, np.ndarray]:
+        """One explicit-Euler step on an (n, C) x: (x - tau G^T diag(a) G x, G x), rounding as
+        grad_scaled_t(grad_scaled(x), a=a). A frozen a may come as ``apply_plan(C, a)``
+        instead, which takes no other width; a = 1 if neither is given."""
+        if plan is not None and (a is not None or x.shape[1] != plan.sqrt_w.shape[1]):
+            raise ShapeMismatch(f"a width-{plan.sqrt_w.shape[1]} plan, which fixes a, cannot "
+                                f"take a signal of shape {x.shape} or another a")
+        p = plan or self._scales(a)
+        gx = self._center(np.take(x * p.inv_sqrt_d, self.pair_node, axis=0), p.inv_size)
+        gx *= p.sqrt_w
+        z = self._center(gx * p.sqrt_w_a, p.inv_size).ravel()
+        out = np.bincount(self._node_slots(x.shape[1]), weights=z, minlength=x.size)
+        out = out.reshape(x.shape)
+        out *= p.inv_sqrt_d
+        out *= tau
+        return np.subtract(x, out, out=out), gx
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
         """Apply L = G^T G."""
@@ -152,17 +161,16 @@ class HypergraphOperators:
         y *= (self.sqrt_w_pair * a)[:, None]
         return self._collect(y).reshape(-1, *f.shape[1:])
 
-    def _collect(self, z: np.ndarray, p: "ApplyPlan | None" = None) -> np.ndarray:
+    def _collect(self, z: np.ndarray) -> np.ndarray:
         """Dv^{-1/2} (B - C)^T z for an (N, d) z, which it overwrites."""
-        p = p or self._plan(z, None)
-        out = self.node_sum(self._center(z, p))
-        out *= p.inv_sqrt_d
+        out = self.node_sum(self._center(z, self.inv_size[:, None]))
+        out *= self.inv_sqrt_d[:, None]
         return out
 
-    def _center(self, z: np.ndarray, p: "ApplyPlan") -> np.ndarray:
-        """Subtract each edge's mean from its rows of the (N, d) z, in place."""
+    def _center(self, z: np.ndarray, inv_size: np.ndarray) -> np.ndarray:
+        """Subtract each edge's mean (1/|e| as inv_size) from its rows of the (N, d) z, in place."""
         mean = self.edge_sum(z)
-        mean *= p.inv_size
+        mean *= inv_size
         z -= np.take(mean, self.pair_edge, axis=0)
         return z
 

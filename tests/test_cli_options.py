@@ -69,6 +69,23 @@ def test_ignored_sweep_option_exits_2(tmp_path, capsys, cfg, named, by_file):
     assert not out.exists()
 
 
+# Sweep lists of no values, which wrote "points": [] or, for an empty
+# --rates, swept the default rates. Each must exit 2 naming the option.
+@pytest.mark.parametrize("command,argv", [
+    pytest.param("train", ["--layers", ","], id="train-layers-comma"),
+    pytest.param("train", ["--layers", ""], id="train-layers-empty"),
+    pytest.param("bench-noise", ["--rates", ","], id="bench-noise-rates-comma"),
+    pytest.param("bench-noise", ["--rates", ""], id="bench-noise-rates-empty"),
+    pytest.param("train", ["--noise", "gaussian", "--rates", ","], id="train-rates-comma"),
+])
+def test_empty_sweep_list_exits_2(tmp_path, capsys, command, argv):
+    out = tmp_path / "out"
+    small = [*SBM_ARGS, "--epochs", "1", "--splits", "1", "--hidden", "2"]
+    assert main([command, *small, *argv, "--out", str(out)]) == 2
+    assert f"option '{argv[-2][2:]}' lists no values" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_integer_for_float_key_is_echoed_as_float(tmp_path):
     dataset = tmp_path / "h0.json"
     dataset.write_text(H0_DATASET)

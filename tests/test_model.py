@@ -228,21 +228,31 @@ def test_l_gradcheck_more_classes_than_hidden(hidden, agg):
         assert abs(gvec[i] - fd) <= 1e-5 * max(abs(fd), 1e-8), i
 
 
-def test_l_adjoint_applies_run_on_class_columns(monkeypatch):
-    # the l loss pass applies G and G^T to C columns only: steps forward, steps adjoint
-    hidden, classes, steps = 6, 3, 4
+def _euler_step_widths(monkeypatch, variant, hidden, classes, steps):
+    """The widths of the Euler steps one loss pass makes, and its count of the two applies."""
     ds, params, _, mask = small_instance(seed=5, hidden=hidden, classes=classes)
     spec = SolverSpec(scheme="explicit_euler", tau=0.5, steps=steps)
     ops = as_operators(ds.hypergraph)
-    seen = {"grad_scaled": [], "grad_scaled_t": []}
+    seen = {"euler_step": [], "grad_scaled": [], "grad_scaled_t": []}
     for name, log in seen.items():
         def counted(y, *args, _apply=getattr(ops, name), _log=log, **kwargs):
             _log.append(y.shape[1])
             return _apply(y, *args, **kwargs)
         monkeypatch.setattr(ops, name, counted)
-    loss_and_gradients(params, ds, mask, spec, "l")
-    for log in seen.values():
-        assert log == [classes] * (2 * steps)
+    loss_and_gradients(params, ds, mask, spec, variant)
+    return seen["euler_step"], len(seen["grad_scaled"]) + len(seen["grad_scaled_t"])
+
+
+def test_l_adjoint_applies_run_on_class_columns(monkeypatch):
+    # the l loss pass makes steps forward and steps adjoint Euler steps, on C columns only
+    widths, applies = _euler_step_widths(monkeypatch, "l", hidden=6, classes=3, steps=4)
+    assert widths == [3] * (2 * 4) and applies == 0
+
+
+def test_nl_euler_steps_run_on_the_hidden_width(monkeypatch):
+    # nl rescores every state, so its steps forward and steps adjoint stay at the hidden width
+    widths, applies = _euler_step_widths(monkeypatch, "nl", hidden=6, classes=3, steps=4)
+    assert widths == [6] * (2 * 4) and applies == 0
 
 
 @pytest.mark.parametrize("hidden", [2, 6])

@@ -362,30 +362,35 @@ def _same(u, v):
 
 @pytest.mark.parametrize("width", [1, 2, 16])
 def test_apply_plan_rounds_as_the_broadcast_scales(width):
-    # a plan's (rows, C) scales give the bits of the (rows, 1) broadcasts, zeros in a included
+    # an Euler step gives the bits of the two applies, with a plan's (rows, C) scales or
+    # the (rows, 1) broadcasts, zeros in a included
+    tau = 0.7
     for seed in (3, 17, 58):
         ops = HypergraphOperators(random_hypergraph(seed))
         rng = np.random.default_rng(seed)
         a = rng.uniform(0.0, 2.0, ops.N) * (rng.random(ops.N) > 0.3)
         assert (a == 0).any()
-        plain, weighted = ops.apply_plan(width), ops.apply_plan(width, a)
+        x = rng.standard_normal((ops.n, width))
         G = scaled_gradient_matrix(ops)
-        for tail in [(width,)] + [()] * (width == 1):
-            f = rng.standard_normal((ops.n,) + tail)
-            y = rng.standard_normal((ops.N,) + tail)
-            ay = a.reshape((-1,) + (1,) * len(tail)) * y
-            assert np.abs(ops.grad_scaled_t(y, plan=weighted) - G.T @ ay).max() <= 1e-12
-            assert _same(ops.grad_scaled(f, plan=plain), ops.grad_scaled(f))
-            assert _same(ops.grad_scaled(f, plan=weighted), ops.grad_scaled(f))
-            assert _same(ops.grad_scaled_t(y, plan=plain), ops.grad_scaled_t(y))
-            assert _same(ops.grad_scaled_t(y, plan=weighted), ops.grad_scaled_t(y, a=a))
+        gx = ops.grad_scaled(x)
+        for weights, step in [
+            (a, ops.euler_step(x, tau, plan=ops.apply_plan(width, a))),
+            (a, ops.euler_step(x, tau, a=a)),
+            (None, ops.euler_step(x, tau, plan=ops.apply_plan(width))),
+            (None, ops.euler_step(x, tau)),
+        ]:
+            assert _same(step[0], x - tau * ops.grad_scaled_t(gx, a=weights))
+            assert _same(step[1], gx)
+        dense = x - tau * G.T @ (a[:, None] * (G @ x))
+        assert np.abs(ops.euler_step(x, tau, plan=ops.apply_plan(width, a))[0] - dense).max() \
+            <= 1e-12 * max(1.0, np.abs(dense).max())
 
 
 def test_apply_plan_refuses_other_widths_and_a_second_a(h0_ops):
     ops = h0_ops
     plan = ops.apply_plan(3, np.ones(ops.N))
-    for f in (np.ones(ops.n), np.ones((ops.n, 1)), np.ones((ops.n, 2))):
+    for x in (np.ones((ops.n, 1)), np.ones((ops.n, 2)), np.ones((ops.n, 4))):
         with pytest.raises(ShapeMismatch):
-            ops.grad_scaled(f, plan=plan)
+            ops.euler_step(x, 0.5, plan=plan)
     with pytest.raises(ShapeMismatch):
-        ops.grad_scaled_t(np.ones((ops.N, 3)), a=np.ones(ops.N), plan=plan)
+        ops.euler_step(np.ones((ops.n, 3)), 0.5, a=np.ones(ops.N), plan=plan)
